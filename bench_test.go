@@ -438,38 +438,27 @@ func BenchmarkShardedKVThroughput(b *testing.B) {
 	}
 }
 
-// BenchmarkKVWakeDriven shows the polling-vs-wake gap of the engine
-// refactor on the same pinned-leader consensus stack: "polling" is the
-// pre-engine pipeline (consensus.Drive ticking every machine each
-// interval, the writer polling for its commit on the same cadence);
-// "wake" is the engine path (submit notifies the leader machine, bursts
-// drain back to back, the commit wakes the writer). One iteration is one
-// synchronous committed write. `omegabench -bench` runs the wall-clock
+// BenchmarkKVWakeDriven is the engine + consensus reference cost of one
+// synchronous committed write on a pinned-leader stack with no public KV
+// layer: submit notifies the leader machine, bursts drain back to back,
+// the commit wakes the writer. `omegabench -bench` runs the wall-clock
 // variant and records it in BENCH_engine_wakeup.json.
 func BenchmarkKVWakeDriven(b *testing.B) {
 	const interval = 200 * time.Microsecond // the shared engine default
-	for _, mode := range []struct {
-		name string
-		mk   func(procs, slots int, interval time.Duration) (*harness.KVDriver, error)
-	}{
-		{"polling", harness.NewPollingKVDriver},
-		{"wake", harness.NewWakeKVDriver},
-	} {
-		b.Run(mode.name, func(b *testing.B) {
-			d, err := mode.mk(3, 2*b.N+64, interval)
-			if err != nil {
+	b.Run("wake", func(b *testing.B) {
+		d, err := harness.NewWakeKVDriver(3, 2*b.N+64, interval)
+		if err != nil {
+			b.Fatal(err)
+		}
+		defer d.Close()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := d.Put(); err != nil {
 				b.Fatal(err)
 			}
-			defer d.Close()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := d.Put(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkConsensusDecide measures a full single-proposer consensus

@@ -347,7 +347,7 @@ func runBench(dir string, dur time.Duration, only string, gmp int) int {
 			}, nil
 		}},
 		{"engine_wakeup", func() (harness.BenchReport, error) {
-			fmt.Printf("engine wakeup: polling vs wake-driven KV commits (%v per point):\n", dur)
+			fmt.Printf("engine wakeup: wake-driven KV commits (%v per point):\n", dur)
 			var points []harness.EngineWakeupPoint
 			for _, p := range []struct {
 				procs    int
@@ -358,12 +358,12 @@ func runBench(dir string, dur time.Duration, only string, gmp int) int {
 					return harness.BenchReport{}, err
 				}
 				points = append(points, pt)
-				fmt.Printf("  n=%d tick=%4.0fus  polling=%8.0f commits/s  wake=%8.0f commits/s  speedup=%.1fx\n",
-					pt.Procs, pt.IntervalUsec, pt.PollingCommitsPerSec, pt.WakeCommitsPerSec, pt.Speedup)
+				fmt.Printf("  n=%d tick=%4.0fus  wake=%8.0f commits/s\n",
+					pt.Procs, pt.IntervalUsec, pt.WakeCommitsPerSec)
 			}
 			return harness.BenchReport{
 				Name:   "engine_wakeup",
-				Unit:   "synchronous committed writes/sec, polling driver vs wake-driven engine",
+				Unit:   "synchronous committed writes/sec, wake-driven engine, pinned leader",
 				Points: points,
 			}, nil
 		}},

@@ -10,40 +10,6 @@ import (
 	"omegasm/internal/vclock"
 )
 
-// FleetConfig is the closed configuration struct of the pre-options
-// fleet API.
-//
-// Deprecated: build fleets with NewFleet and functional options instead.
-// The field mapping is WithClusters(cfg.Clusters),
-// WithRefreshInterval(cfg.RefreshInterval) and the Cluster field's
-// options (see Config) applied fleet-wide; FleetConfig cannot express
-// per-cluster overrides or substrates.
-type FleetConfig struct {
-	// Clusters is the number of independent Omega clusters (>= 1).
-	Clusters int
-	// Cluster is the per-cluster configuration; every cluster runs the
-	// same one (its N, Algorithm, intervals, instrumentation).
-	Cluster Config
-	// RefreshInterval is how often the fleet refreshes its cached
-	// per-cluster agreement view; default 200us. Leader answers are at
-	// most this stale.
-	RefreshInterval time.Duration
-}
-
-// NewFleetFromConfig builds a Fleet from the legacy FleetConfig struct.
-//
-// Deprecated: use NewFleet with functional options.
-func NewFleetFromConfig(cfg FleetConfig) (*Fleet, error) {
-	if cfg.Clusters < 1 {
-		return nil, fmt.Errorf("omegasm: need at least 1 cluster, got %d", cfg.Clusters)
-	}
-	opts := append(cfg.Cluster.options(), WithClusters(cfg.Clusters))
-	if cfg.RefreshInterval > 0 {
-		opts = append(opts, WithRefreshInterval(cfg.RefreshInterval))
-	}
-	return NewFleet(opts...)
-}
-
 // Fleet runs many independent Omega clusters concurrently — the
 // multi-tenant deployment shape, where each cluster elects a leader for
 // one replicated object — and answers Leader queries from a read-mostly

@@ -245,17 +245,17 @@ func TestBatchedKVStoreConverges(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	var pairs [][2]uint16
+	var cmds []uint32
 	for k := 0; k < 40; k++ {
-		pairs = append(pairs, [2]uint16{uint16(k % 10), uint16(k)})
+		cmds = append(cmds, EncodeSet(uint16(k%10), uint16(k)))
 	}
-	if err := kvs[0].SetAll(pairs...); err != nil {
+	if err := kvs[0].SetAll(cmds...); err != nil {
 		t.Fatal(err)
 	}
 	if err := kvs[0].Set(0xFFFF, 1); err == nil {
 		t.Fatal("reserved key accepted on batched store")
 	}
-	if err := kvs[0].SetAll([2]uint16{1, 1}, [2]uint16{0xFFFF, 2}); err == nil {
+	if err := kvs[0].SetAll(EncodeSet(1, 1), EncodeSet(0xFFFF, 2)); err == nil {
 		t.Fatal("SetAll with a reserved pair accepted")
 	}
 	rng := rand.New(rand.NewSource(5))

@@ -113,11 +113,11 @@ func TestCheckpointBatchedStream(t *testing.T) {
 	kvs := newCkptKVs(t, 3, slots, 8, every, func(i int) func() int {
 		return func() int { return 0 }
 	})
-	var pairs [][2]uint16
+	var cmds []uint32
 	for k := 0; k < writes; k++ {
-		pairs = append(pairs, [2]uint16{uint16(k % 13), uint16(k)})
+		cmds = append(cmds, EncodeSet(uint16(k%13), uint16(k)))
 	}
-	if err := kvs[0].SetAll(pairs...); err != nil {
+	if err := kvs[0].SetAll(cmds...); err != nil {
 		t.Fatal(err)
 	}
 	rng := rand.New(rand.NewSource(7))

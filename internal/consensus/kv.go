@@ -196,22 +196,21 @@ func (kv *KV) Set(key, val uint16) error {
 	return nil
 }
 
-// SetAll queues several writes for replication under one lock
-// acquisition, rejecting the whole batch (queueing nothing) if any pair
-// is reserved. On a batched log the queued run is what a leader packs
-// into batch proposals, so submitting related writes together is the
-// group-commit fast path.
-func (kv *KV) SetAll(pairs ...[2]uint16) error {
+// SetAll queues several encoded Set commands (see EncodeSet) for
+// replication under one lock acquisition, rejecting the whole batch
+// (queueing nothing) if any pair is reserved. On a batched log the
+// queued run is what a leader packs into batch proposals, so submitting
+// related writes together is the group-commit fast path.
+func (kv *KV) SetAll(cmds ...uint32) error {
 	claimed := kv.replica.log.ReservesTopRow()
-	for _, p := range pairs {
-		if IsReserved(EncodeSet(p[0], p[1]), claimed) {
-			return fmt.Errorf("consensus: key/value pair (0x%04x, 0x%04x) is reserved", p[0], p[1])
+	for _, c := range cmds {
+		if IsReserved(c, claimed) {
+			k, v := DecodeSet(c)
+			return fmt.Errorf("consensus: key/value pair (0x%04x, 0x%04x) is reserved", k, v)
 		}
 	}
 	kv.submitMu.Lock()
-	for _, p := range pairs {
-		kv.staged = append(kv.staged, EncodeSet(p[0], p[1]))
-	}
+	kv.staged = append(kv.staged, cmds...)
 	kv.submitMu.Unlock()
 	return nil
 }

@@ -3,8 +3,7 @@ package engine
 import "time"
 
 // The module-wide pacing defaults. Every layer that needs a default
-// cadence — the live runtime's normalize, the consensus.Drive shim, the
-// public substrate pacing in options/substrate.go, the fleet's view
+// cadence — the live runtime's normalize, the public substrate pacing in options/substrate.go, the fleet's view
 // refresher — reads these constants, so the live engine and the public
 // options cannot drift apart.
 const (

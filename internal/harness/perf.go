@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"context"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -85,23 +84,15 @@ type ReadPathPoint struct {
 }
 
 // EngineWakeupPoint is one data point of the engine wakeup benchmark:
-// the same synchronous replicated-write workload over the same consensus
-// stack, once under the legacy blind polling driver (consensus.Drive:
-// every machine stepped once per tick, writers polling for their commit
-// on the same cadence) and once under the wake-driven engine (the writer
-// notifies the leader machine, bursts drain back to back, commits wake
-// the writer).
+// synchronous replicated writes over a pinned-leader consensus stack
+// under the wake-driven engine (the writer notifies the leader machine,
+// bursts drain back to back, commits wake the writer).
 type EngineWakeupPoint struct {
 	Procs int `json:"procs"`
-	// IntervalUsec is the driver tick / fallback poll interval both
-	// drivers were given.
+	// IntervalUsec is the engine's fallback poll interval.
 	IntervalUsec float64 `json:"interval_usec"`
-	// PollingCommitsPerSec and WakeCommitsPerSec are synchronous committed
-	// writes per second under each driver.
-	PollingCommitsPerSec float64 `json:"polling_commits_per_sec"`
-	WakeCommitsPerSec    float64 `json:"wake_commits_per_sec"`
-	// Speedup is WakeCommitsPerSec / PollingCommitsPerSec.
-	Speedup float64 `json:"speedup"`
+	// WakeCommitsPerSec is synchronous committed writes per second.
+	WakeCommitsPerSec float64 `json:"wake_commits_per_sec"`
 }
 
 // ShardedKVScalingPoint is one data point of the sharded-store scaling
@@ -369,12 +360,13 @@ func contendedThroughput(w CensusWorkload, dur time.Duration) float64 {
 		})
 }
 
-// KVDriver is one driving strategy over a fresh single-leader consensus
-// stack: Put performs one synchronous committed write, Close tears the
-// driver down. Shared by `omegabench -bench` (BENCH_engine_wakeup.json)
-// and BenchmarkKVWakeDriven so both measure the same thing. The oracle is
-// pinned to process 0, so the measurement isolates the driving strategy
-// from election dynamics.
+// KVDriver runs a fresh single-leader consensus stack as wake-hinted
+// engine machines: Put performs one synchronous committed write (the
+// writer notifies the leader machine on submit and sleeps on a commit
+// signal), Close tears the driver down. Shared by `omegabench -bench`
+// (BENCH_engine_wakeup.json) and BenchmarkKVWakeDriven so both measure
+// the same thing. The oracle is pinned to process 0, so the measurement
+// isolates the engine and consensus layers from election dynamics.
 type KVDriver struct {
 	Put   func() error
 	Close func()
@@ -383,8 +375,9 @@ type KVDriver struct {
 	k      uint32
 }
 
-// newWakeupStack builds the shared consensus stack both drivers run over.
-func newWakeupStack(procs, slots int) ([]*consensus.KV, error) {
+// NewWakeKVDriver builds the stack: procs replicas over a slots-long
+// log, with interval as the engine's fallback poll.
+func NewWakeKVDriver(procs, slots int, interval time.Duration) (*KVDriver, error) {
 	mem := shmem.NewAtomicMem(procs, false)
 	log := consensus.NewLog(mem, procs, slots)
 	oracle := func() int { return 0 }
@@ -397,75 +390,6 @@ func newWakeupStack(procs, slots int) ([]*consensus.KV, error) {
 		if stores[i], err = consensus.NewKV(r); err != nil {
 			return nil, err
 		}
-	}
-	return stores, nil
-}
-
-// put submits the driver's next command to the leader store and spins the
-// provided wait function until the commit is visible.
-func (d *KVDriver) put(wait func(mark int, cmd uint32) error) error {
-	d.k++
-	key, val := uint16(d.k%1024), uint16(d.k)
-	cmd := consensus.EncodeSet(key, val)
-	if cmd == consensus.NoValue {
-		d.k++
-		key, val = uint16(d.k%1024), uint16(d.k)
-		cmd = consensus.EncodeSet(key, val)
-	}
-	mark := d.stores[0].CommittedLen()
-	if mark == d.stores[0].Capacity() {
-		return fmt.Errorf("harness: wakeup stack log full")
-	}
-	if err := d.stores[0].Set(key, val); err != nil {
-		return err
-	}
-	return wait(mark, cmd)
-}
-
-// NewPollingKVDriver reproduces the pre-engine pipeline: machines stepped
-// by consensus.Drive once per tick, the writer polling for its commit on
-// the same cadence.
-func NewPollingKVDriver(procs, slots int, interval time.Duration) (*KVDriver, error) {
-	stores, err := newWakeupStack(procs, slots)
-	if err != nil {
-		return nil, err
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	machines := make([]consensus.Steppable, procs)
-	for i := range stores {
-		st := stores[i]
-		machines[i] = consensus.StepFunc(func(now vclock.Time) { st.StepN(now, 8) })
-	}
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		consensus.Drive(ctx, interval, nil, machines)
-	}()
-	d := &KVDriver{stores: stores}
-	d.Put = func() error {
-		return d.put(func(mark int, cmd uint32) error {
-			ticker := time.NewTicker(interval)
-			defer ticker.Stop()
-			for !d.stores[0].CommittedContainsAfter(mark, cmd) {
-				<-ticker.C
-			}
-			return nil
-		})
-	}
-	d.Close = func() {
-		cancel()
-		<-done
-	}
-	return d, nil
-}
-
-// NewWakeKVDriver runs the same stack as wake-hinted engine machines: the
-// writer notifies the leader machine on submit and sleeps on a commit
-// signal instead of a poll loop.
-func NewWakeKVDriver(procs, slots int, interval time.Duration) (*KVDriver, error) {
-	stores, err := newWakeupStack(procs, slots)
-	if err != nil {
-		return nil, err
 	}
 	eng := engine.NewLive(engine.LiveConfig{})
 	commit := make(chan struct{}, 1)
@@ -501,57 +425,56 @@ func NewWakeKVDriver(procs, slots int, interval time.Duration) (*KVDriver, error
 	if err := eng.Start(); err != nil {
 		return nil, err
 	}
-	d := &KVDriver{stores: stores}
+	d := &KVDriver{stores: stores, Close: eng.Stop}
 	d.Put = func() error {
-		return d.put(func(mark int, cmd uint32) error {
-			eng.Notify(ids[0])
-			for !d.stores[0].CommittedContainsAfter(mark, cmd) {
-				<-commit
-			}
-			return nil
-		})
+		d.k++
+		key, val := uint16(d.k%1024), uint16(d.k)
+		cmd := consensus.EncodeSet(key, val)
+		if cmd == consensus.NoValue {
+			d.k++
+			key, val = uint16(d.k%1024), uint16(d.k)
+			cmd = consensus.EncodeSet(key, val)
+		}
+		mark := stores[0].CommittedLen()
+		if mark == stores[0].Capacity() {
+			return fmt.Errorf("harness: wakeup stack log full")
+		}
+		if err := stores[0].Set(key, val); err != nil {
+			return err
+		}
+		eng.Notify(ids[0])
+		for !stores[0].CommittedContainsAfter(mark, cmd) {
+			<-commit
+		}
+		return nil
 	}
-	d.Close = eng.Stop
 	return d, nil
 }
 
 // BenchEngineWakeup measures synchronous committed writes per second
-// under both drivers at the given tick interval.
+// under the wake-driven engine at the given fallback poll interval.
 func BenchEngineWakeup(procs int, interval, dur time.Duration) (EngineWakeupPoint, error) {
-	measure := func(mk func(procs, slots int, interval time.Duration) (*KVDriver, error)) (float64, error) {
-		// The wake driver commits at CPU speed, so any fixed log size can
-		// be outrun by a long enough window: end the window early when the
-		// log nears capacity and report the rate over the shortened run.
-		const slots = 1 << 17
-		d, err := mk(procs, slots, interval)
-		if err != nil {
-			return 0, err
-		}
-		defer d.Close()
-		var commits int64
-		start := time.Now()
-		for time.Since(start) < dur && d.stores[0].CommittedLen() < slots-64 {
-			if err := d.Put(); err != nil {
-				return 0, err
-			}
-			commits++
-		}
-		return float64(commits) / time.Since(start).Seconds(), nil
-	}
-	polling, err := measure(NewPollingKVDriver)
+	// The driver commits at CPU speed, so any fixed log size can be
+	// outrun by a long enough window: end the window early when the log
+	// nears capacity and report the rate over the shortened run.
+	const slots = 1 << 17
+	d, err := NewWakeKVDriver(procs, slots, interval)
 	if err != nil {
 		return EngineWakeupPoint{}, err
 	}
-	wake, err := measure(NewWakeKVDriver)
-	if err != nil {
-		return EngineWakeupPoint{}, err
+	defer d.Close()
+	var commits int64
+	start := time.Now()
+	for time.Since(start) < dur && d.stores[0].CommittedLen() < slots-64 {
+		if err := d.Put(); err != nil {
+			return EngineWakeupPoint{}, err
+		}
+		commits++
 	}
 	return EngineWakeupPoint{
-		Procs:                procs,
-		IntervalUsec:         float64(interval) / float64(time.Microsecond),
-		PollingCommitsPerSec: polling,
-		WakeCommitsPerSec:    wake,
-		Speedup:              wake / polling,
+		Procs:             procs,
+		IntervalUsec:      float64(interval) / float64(time.Microsecond),
+		WakeCommitsPerSec: float64(commits) / time.Since(start).Seconds(),
 	}, nil
 }
 

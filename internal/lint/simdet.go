@@ -42,9 +42,11 @@ var simdetPackages = []string{
 
 // simdetFiles lists file-path suffixes that are sim-reachable (or must
 // emit byte-stable output) regardless of package: the public simulator
-// surface and the bench-table renderer the docs-sync CI gate replays.
+// surface, the replica group both engines run, and the bench-table
+// renderer the docs-sync CI gate replays.
 var simdetFiles = []string{
 	"sim.go",
+	"replica.go",
 	"omegabench/readme.go",
 	"campaign.go",
 	"faults.go",

@@ -5,12 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 	"time"
 
-	"omegasm/internal/consensus"
 	"omegasm/internal/engine"
-	"omegasm/internal/lease"
-	"omegasm/internal/vclock"
 )
 
 // ErrNoLeader is returned by KV.Set when the cluster's live processes do
@@ -32,6 +30,11 @@ var ErrLogFull = errors.New("omegasm: replicated log is full")
 // support every mode; only KVCheckpointEvery(0) combined with KVBatch(1)
 // hits this.
 var ErrReadUnsupported = errors.New("omegasm: linearizable reads need batching or checkpointing enabled")
+
+// ErrClosed is returned by Put, PutAll and the blocking Read modes once
+// the store has been closed — including calls already waiting when Close
+// runs, which it releases.
+var ErrClosed = errors.New("omegasm: KV closed")
 
 // ReadMode selects the consistency/latency point of a KV.Read.
 type ReadMode int
@@ -56,10 +59,6 @@ const (
 
 // KVOption configures NewKV.
 type KVOption func(*kvSettings) error
-
-// ckptAuto is the sentinel for "checkpoint cadence not chosen": NewKV
-// derives it from the slot count.
-const ckptAuto = -1
 
 // leaseAuto is the sentinel for "lease duration not chosen": NewKV
 // enables leases with a default duration whenever the log can carry the
@@ -89,9 +88,6 @@ type kvSettings struct {
 // write capacity.
 func KVSlots(n int) KVOption {
 	return func(s *kvSettings) error {
-		if n < 1 {
-			return fmt.Errorf("omegasm: need at least 1 log slot, got %d", n)
-		}
 		s.slots = n
 		return nil
 	}
@@ -164,9 +160,6 @@ func KVStepBurst(n int) KVOption {
 // caps the cluster at 16 processes (descriptor pids are four bits).
 func KVBatch(n int) KVOption {
 	return func(s *kvSettings) error {
-		if n < 1 {
-			return fmt.Errorf("omegasm: KV batch size must be at least 1, got %d", n)
-		}
 		s.batch = n
 		return nil
 	}
@@ -234,19 +227,13 @@ type Entry struct {
 // notification covers (a demoted replica waiting to drop or re-propose
 // its queue).
 type KV struct {
-	c        *Cluster
-	interval time.Duration
-	stores   []*consensus.KV
-
+	*replicaGroup
 	eng     *engine.Live
-	ids     []int // engine machine id of each replica's driver
 	commits *broadcast
 
-	// lease is the leader-lease register behind ReadLease (nil: leases
-	// off). leaseDur/leaseEps are engine nanoseconds; see KVLease.
-	lease    *lease.Register
-	leaseDur int64
-	leaseEps int64
+	// closed is set by Close before it signals commits: a waiter checks
+	// it after taking the broadcast channel, so the wait cannot miss it.
+	closed atomic.Bool
 }
 
 // broadcast is a reusable close-channel broadcast: waiters grab the
@@ -279,120 +266,6 @@ func (b *broadcast) signal() {
 	b.mu.Unlock()
 }
 
-// kvMachine drives one replica under the engine's wake-hint contract.
-type kvMachine struct {
-	kv    *KV
-	idx   int
-	store *consensus.KV
-	burst int
-
-	// Lease state of this replica's reigns: acqGen is the store's fence
-	// generation snapshot taken at the last acquisition, and barrierDone
-	// records that the catch-up barrier for it has completed (the lease
-	// was marked readable). Only this machine's goroutine touches them.
-	acqGen      uint64
-	barrierDone bool
-}
-
-// Step implements engine.Machine. The hint encodes the replica's state:
-// draining work wants the CPU back immediately, a replica with a queued
-// command but no leadership polls at the fallback cadence (leadership may
-// move to it, or the watcher may drop its queue), and an idle caught-up
-// replica parks until a write or a commit notification arrives.
-func (m *kvMachine) Step(now vclock.Time) engine.Hint {
-	kv := m.kv
-	if kv.c.Crashed(m.idx) {
-		return engine.Park()
-	}
-	leader, agreed := kv.c.AgreedLeader()
-	agreed = agreed && leader >= 0 && !kv.c.Crashed(leader)
-	// A replica that sees the cluster agreed on someone else sheds its own
-	// queue before stepping. The polling watcher below does the same once
-	// per cadence, but wake-driven replicas can take many bursts between
-	// watcher rounds, so the stale-queue window ("a demoted leader
-	// re-proposes old writes after newer ones when it regains leadership")
-	// must be closed at the replica itself: by the first step it takes
-	// under another replica's reign, the stale queue is gone. (Put
-	// re-submits the writes that still matter.)
-	if agreed && leader != m.idx {
-		m.store.DropPending()
-	}
-	// Lease housekeeping, before the burst so a fresh acquisition is
-	// already the arming authority for it: the agreed leader extends its
-	// grant while it holds, or (re)claims one the moment the previous
-	// grant has expired. A demoted or crashed holder simply stops
-	// extending and its grant lapses.
-	holder := false
-	var epoch uint64
-	if kv.lease != nil && agreed && leader == m.idx {
-		if e, held := kv.lease.Held(m.idx, now); held {
-			holder, epoch = true, e
-			kv.lease.Extend(m.idx, now, kv.leaseDur)
-		} else if e, ok := kv.lease.Acquire(m.idx, now, kv.leaseDur, kv.leaseEps); ok {
-			holder, epoch = true, e
-			m.acqGen = m.store.FenceGen()
-			m.barrierDone = false
-		}
-	}
-	newly, pending := m.store.StepBurst(now, m.burst)
-	if holder && !m.barrierDone {
-		// The catch-up barrier: once a proposal armed after the
-		// acquisition wins its ballot, this replica provably holds (and
-		// has applied) every command any earlier authority committed, and
-		// the lease becomes readable. Any write traffic fences for free;
-		// an idle store drives one no-op barrier slot through the log.
-		if m.store.FencedSince(m.acqGen) {
-			kv.lease.MarkReadable(epoch, m.idx)
-			m.barrierDone = true
-		} else if pending == 0 && m.store.PendingLen() == 0 {
-			if m.store.SubmitBarrier() != nil {
-				m.barrierDone = true // barrier-less log: lease stays unreadable
-			}
-			return engine.Now()
-		}
-	}
-	if newly > 0 {
-		// Wake the other replicas to learn the new decisions — but only
-		// from the commit's origin (the agreed leader, or anyone during
-		// anarchy). A follower that merely learned entries would otherwise
-		// re-notify all peers per wave, turning one commit into ~n²
-		// notifications of already-informed machines.
-		if !agreed || leader == m.idx {
-			for i, id := range kv.ids {
-				if i != m.idx {
-					kv.eng.Notify(id)
-				}
-			}
-		}
-		// And any Put waiting for its command to land.
-		kv.commits.signal()
-		return engine.Now()
-	}
-	if pending > 0 {
-		// A leader with queued work drains at CPU speed — unless the log
-		// can make no progress: permanently full (checkpointing off), or
-		// the recycling window is exhausted until a checkpoint gathers its
-		// ack quorum, in which case stepping would only spin. The fallback
-		// cadence re-checks the acks (the stepped replica reads them and
-		// slides the window itself).
-		if agreed && leader == m.idx && !m.store.LogFull() && !m.store.WindowFull() {
-			return engine.Now()
-		}
-		return engine.At(now + int64(kv.interval))
-	}
-	// Idle. A leaseholder must not park: its grant needs extending well
-	// before expiry or lease reads go dark between writes. An agreed
-	// leader still waiting out a predecessor's grant polls for the expiry
-	// at the fallback cadence. Everyone else parks until notified.
-	if kv.lease != nil && agreed && leader == m.idx {
-		if holder {
-			return engine.At(now + kv.leaseDur/4)
-		}
-		return engine.At(now + int64(kv.interval))
-	}
-	return engine.Park()
-}
-
 // NewKV builds and starts the cluster's replicated key-value store: one
 // replica per process over a freshly allocated log on the cluster's
 // shared memory, each driven as a wake-hinted machine of a live engine.
@@ -415,24 +288,17 @@ func NewKV(c *Cluster, opts ...KVOption) (*KV, error) {
 			return nil, err
 		}
 	}
-	if set.batch > 1 && c.N() > consensus.MaxBatchProcs {
-		return nil, fmt.Errorf("omegasm: KV batching supports at most %d processes, got %d",
-			consensus.MaxBatchProcs, c.N())
+	shape := logShape{n: c.N(), slots: set.slots, batch: set.batch, ckpt: set.ckpt}
+	if err := shape.resolve(); err != nil {
+		return nil, err
 	}
-	if set.ckpt == ckptAuto {
-		// Default on: seal every quarter window. Configurations that cannot
-		// checkpoint (a 1-slot log, more processes than descriptors can
-		// name) silently keep the fixed-capacity log instead of erroring.
-		set.ckpt = consensus.DefaultCheckpointEvery(set.slots, c.N())
-	}
-	if set.ckpt > 0 {
-		if c.N() > consensus.MaxBatchProcs {
-			return nil, fmt.Errorf("omegasm: KV checkpointing supports at most %d processes, got %d",
-				consensus.MaxBatchProcs, c.N())
-		}
-		if set.ckpt >= set.slots {
-			return nil, fmt.Errorf("omegasm: checkpoint interval %d must be below the %d-slot window",
-				set.ckpt, set.slots)
+	// Auto-mode enables leases exactly when the log can carry the catch-up
+	// barrier (the descriptor row is reserved).
+	leaseDur := set.lease
+	if leaseDur == leaseAuto {
+		leaseDur = 0
+		if shape.reservesTopRow() {
+			leaseDur = defaultLeaseDur
 		}
 	}
 	c.svcMu.Lock()
@@ -443,89 +309,29 @@ func NewKV(c *Cluster, opts ...KVOption) (*KV, error) {
 	c.kvTaken = true
 	c.svcMu.Unlock()
 
-	n := c.N()
-	log, err := consensus.NewCheckpointLog(c.mem, n, set.slots, set.batch, set.ckpt)
-	if err != nil {
-		return nil, fmt.Errorf("omegasm: %w", err)
-	}
-	// Resolve the lease knob against the log's capabilities: the catch-up
-	// barrier needs the descriptor row, so auto-mode enables leases
-	// exactly when the row is reserved, and an explicit request without
-	// it is a configuration error.
-	leaseDur := set.lease
-	if leaseDur == leaseAuto {
-		leaseDur = 0
-		if log.ReservesTopRow() {
-			leaseDur = defaultLeaseDur
-		}
-	} else if leaseDur > 0 && !log.ReservesTopRow() {
-		return nil, fmt.Errorf("omegasm: KVLease needs batching or checkpointing enabled")
-	}
-	stores := make([]*consensus.KV, n)
 	kv := &KV{
-		c:        c,
-		interval: set.interval,
-		eng:      engine.NewLive(engine.LiveConfig{}),
-		commits:  newBroadcast(),
+		eng:     engine.NewLive(engine.LiveConfig{}),
+		commits: newBroadcast(),
 	}
-	if leaseDur > 0 {
-		kv.lease = &lease.Register{}
-		kv.leaseDur = int64(leaseDur)
-		kv.leaseEps = int64(leaseDur / 8)
+	g, err := newReplicaGroup(c.mem, groupParams{
+		shape:    shape,
+		leaseDur: int64(leaseDur),
+		leaseEps: int64(leaseDur / 8),
+		burst:    set.burst,
+		poll:     int64(set.interval),
+		view:     leaderView{agreed: c.AgreedLeader, crashed: c.Crashed},
+		oracle:   c.oracle,
+		notify:   kv.eng.Notify,
+		onCommit: kv.commits.signal,
+	})
+	if err != nil {
+		return nil, err
 	}
-	for i := 0; i < n; i++ {
-		replica, err := consensus.NewReplica(log, i, c.oracle(i))
-		if err != nil {
-			return nil, fmt.Errorf("omegasm: kv replica %d: %w", i, err)
-		}
-		store, err := consensus.NewKV(replica)
-		if err != nil {
-			return nil, fmt.Errorf("omegasm: kv replica %d: %w", i, err)
-		}
-		if kv.lease != nil {
-			// The authority gate: no replica arms a proposal without
-			// holding the lease, which is what makes a valid lease
-			// exclusive commit authority (see internal/lease).
-			reg, id := kv.lease, i
-			store.SetAuthority(func(t vclock.Time) bool {
-				_, held := reg.Held(id, t)
-				return held
-			})
-		}
-		stores[i] = store
+	kv.replicaGroup = g
+	for i := range g.stores {
+		g.ids = append(g.ids, kv.eng.Add(g.replica(i)))
 	}
-	kv.stores = stores
-	for i := 0; i < n; i++ {
-		kv.ids = append(kv.ids, kv.eng.Add(&kvMachine{
-			kv: kv, idx: i, store: stores[i], burst: set.burst,
-		}))
-	}
-	// The leadership watcher polls at the fallback cadence: when the
-	// agreed leader changes, the queues stranded on the other replicas are
-	// dropped and every machine is woken — the new leader may hold a queue
-	// a previous reign left behind, and parked followers may sit on
-	// unlearned slots the dead leader decided (nothing else would re-step
-	// them until the next write). Without the drop, a demoted-but-live
-	// leader would re-propose its stale queue whenever it regains
-	// leadership, committing old writes after newer ones; with it, a stale
-	// command can only still commit via ballot adoption in the first
-	// undecided slot — i.e. never after a newer command. (Writers that
-	// still care re-submit: Put retries.)
-	lastLeader := -1
-	kv.eng.Add(engine.MachineFunc(func(now vclock.Time) engine.Hint {
-		if l, ok := c.AgreedLeader(); ok && l >= 0 && !c.Crashed(l) && l != lastLeader {
-			for i, st := range stores {
-				if i != l {
-					st.DropPending()
-				}
-			}
-			lastLeader = l
-			for _, id := range kv.ids {
-				kv.eng.Notify(id)
-			}
-		}
-		return engine.At(now + int64(set.interval))
-	}))
+	kv.eng.Add(engine.MachineFunc(g.watch))
 	if err := kv.eng.Start(); err != nil {
 		return nil, err
 	}
@@ -533,29 +339,13 @@ func NewKV(c *Cluster, opts ...KVOption) (*KV, error) {
 }
 
 // Close stops the replication engine. Reads keep answering from the
-// frozen applied state; writes stop committing. Idempotent.
-func (kv *KV) Close() { kv.eng.Stop() }
-
-// readStore picks the replica to answer reads: the agreed leader's (it
-// commits first, so it is the freshest), else the live replica with the
-// longest committed prefix — during anarchy (typically right after a
-// leader crash) the survivors lag the dead leader by whatever they have
-// not yet learned, and the freshest one minimizes the staleness window
-// until the next election catches everyone up.
-func (kv *KV) readStore() *consensus.KV {
-	if l, ok := kv.c.AgreedLeader(); ok && l >= 0 && !kv.c.Crashed(l) {
-		return kv.stores[l]
-	}
-	best := kv.stores[0]
-	bestLen := -1
-	for i, s := range kv.stores {
-		if !kv.c.Crashed(i) {
-			if n := s.CommittedLen(); n > bestLen {
-				best, bestLen = s, n
-			}
-		}
-	}
-	return best
+// frozen applied state; writes stop committing, and blocked or later
+// Put, PutAll and linearizable Read calls return ErrClosed. Idempotent
+// and safe to call concurrently.
+func (kv *KV) Close() {
+	kv.closed.Store(true)
+	kv.commits.signal()
+	kv.eng.Stop()
 }
 
 // Set queues one write on the current leader's replica and returns
@@ -572,8 +362,8 @@ func (kv *KV) readStore() *consensus.KV {
 // else should use Put or PutAll, which block until commit and retry
 // across leadership changes.
 func (kv *KV) Set(key, val uint16) error {
-	l, ok := kv.c.AgreedLeader()
-	if !ok || l < 0 || kv.c.Crashed(l) {
+	l, ok := kv.view.leader()
+	if !ok {
 		return ErrNoLeader
 	}
 	if kv.stores[l].LogFull() {
@@ -614,8 +404,9 @@ func (kv *KV) Put(ctx context.Context, key, val uint16) error {
 // leadership moves — or a leadership flap sweeps the leader's queue —
 // before everything lands. Re-submission can commit an entry into more
 // than one slot; the store applies sets idempotently, so duplicates only
-// spend log capacity. PutAll returns ctx's error on cancellation, the
-// reserved-pair error synchronously (committing nothing), and — only when
+// spend log capacity. PutAll returns ctx's error on cancellation,
+// ErrClosed once the store is closed, the reserved-pair error
+// synchronously (committing nothing), and — only when
 // checkpointing is disabled — ErrLogFull if the fixed log fills before
 // the whole group commits. With checkpointing (the default) the stream is
 // unbounded: window backpressure paces the call, it never fails it.
@@ -623,91 +414,22 @@ func (kv *KV) PutAll(ctx context.Context, entries ...Entry) error {
 	if len(entries) == 0 {
 		return nil
 	}
-	claimed := kv.stores[0].ReservesTopRow()
-	// remaining holds the deduplicated commands still waiting for commit,
-	// in submission order (resubmissions preserve it).
-	remaining := make([]uint32, 0, len(entries))
-	seen := make(map[uint32]bool, len(entries))
-	for _, e := range entries {
-		cmd := consensus.EncodeSet(e.Key, e.Val)
-		if consensus.IsReserved(cmd, claimed) {
-			return fmt.Errorf("omegasm: key/value pair (0x%04x, 0x%04x) is reserved", e.Key, e.Val)
-		}
-		if !seen[cmd] {
-			seen[cmd] = true
-			remaining = append(remaining, cmd)
-		}
+	var op putOp
+	if err := op.start(kv.replicaGroup, entries); err != nil {
+		return err
 	}
-	// Commit watermarks: only entries a replica appends from here on can
-	// acknowledge this call. Each appended region is scanned exactly once
-	// (the watermark advances past it), so a long-lived call stays
-	// O(new commits), not O(log). If a checkpoint summarizes entries away
-	// before they are scanned, they simply never confirm and the remainder
-	// is resubmitted — duplicates apply idempotently.
-	marks := make([]int, len(kv.stores))
-	for i, s := range kv.stores {
-		marks[i] = s.CommittedLen()
-	}
-	confirm := func(i int) {
-		suffix, next := kv.stores[i].TailSince(marks[i])
-		marks[i] = next
-		for _, c := range suffix {
-			if seen[c] {
-				delete(seen, c)
-				for j, r := range remaining {
-					if r == c {
-						remaining = append(remaining[:j], remaining[j+1:]...)
-						break
-					}
-				}
-			}
-		}
-	}
-	submittedTo := -1
-	var submitGen uint64
-	ticker := time.NewTicker(kv.interval)
+	ticker := time.NewTicker(time.Duration(kv.poll))
 	defer ticker.Stop()
 	for {
-		// Grab the broadcast channel before scanning: a commit that lands
-		// after the scan closes this channel, so the wait below cannot
-		// miss it.
+		// Grab the broadcast channel before polling: a commit (or Close)
+		// that lands after the poll closes this channel, so the wait below
+		// cannot miss it.
 		committed := kv.commits.wait()
-		for i := range kv.stores {
-			if !kv.c.Crashed(i) {
-				confirm(i)
-			}
+		if kv.closed.Load() {
+			return ErrClosed
 		}
-		if len(remaining) == 0 {
-			return nil
-		}
-		if kv.readStore().LogFull() {
-			return ErrLogFull
-		}
-		if l, ok := kv.c.AgreedLeader(); ok && l >= 0 && !kv.c.Crashed(l) {
-			// Resubmit on an observed leader change, and also when the
-			// leader's queue was swept since we submitted (its drop
-			// generation moved): a leadership flap this loop never observed
-			// takes the queued remainder with it. Re-scan the leader's
-			// commits right before resubmitting — an entry may have
-			// committed between the scan above and here, and a needless
-			// duplicate burns log capacity forever.
-			gen := kv.stores[l].DropGeneration()
-			if l != submittedTo || gen != submitGen {
-				confirm(l)
-				if len(remaining) == 0 {
-					return nil
-				}
-				pairs := make([][2]uint16, len(remaining))
-				for j, c := range remaining {
-					k, v := consensus.DecodeSet(c)
-					pairs[j] = [2]uint16{k, v}
-				}
-				if err := kv.stores[l].SetAll(pairs...); err != nil {
-					return err
-				}
-				submittedTo, submitGen = l, gen
-			}
-			kv.eng.Notify(kv.ids[l])
+		if done, err := op.poll(); done || err != nil {
+			return err
 		}
 		select {
 		case <-ctx.Done():
@@ -732,8 +454,9 @@ func (kv *KV) Get(key uint16) (uint16, bool) {
 // blocks or errors (ctx is unused). ReadLease answers in two atomic
 // loads while a readable lease is valid and falls back to a quorum
 // round otherwise; ReadQuorum always fences through the log. The
-// blocking modes return ctx's error on cancellation and
-// ErrReadUnsupported on stores without a descriptor row.
+// blocking modes return ctx's error on cancellation, ErrClosed once the
+// store is closed, and ErrReadUnsupported on stores without a
+// descriptor row.
 func (kv *KV) Read(ctx context.Context, key uint16, mode ReadMode) (uint16, bool, error) {
 	switch mode {
 	case ReadFreshest:
@@ -772,7 +495,7 @@ func (kv *KV) readQuorum(ctx context.Context, key uint16) (uint16, bool, error) 
 	if !kv.stores[0].ReservesTopRow() {
 		return 0, false, ErrReadUnsupported
 	}
-	ticker := time.NewTicker(kv.interval)
+	ticker := time.NewTicker(time.Duration(kv.poll))
 	defer ticker.Stop()
 	fencedFrom := -1 // leader the fence generation below was taken from
 	var gen uint64
@@ -780,7 +503,10 @@ func (kv *KV) readQuorum(ctx context.Context, key uint16) (uint16, bool, error) 
 		// Grab the broadcast channel before checking: progress that lands
 		// after the check closes this channel, so the wait cannot miss it.
 		progress := kv.commits.wait()
-		if l, ok := kv.c.AgreedLeader(); ok && l >= 0 && !kv.c.Crashed(l) {
+		if kv.closed.Load() {
+			return 0, false, ErrClosed
+		}
+		if l, ok := kv.view.leader(); ok {
 			if l != fencedFrom {
 				fencedFrom, gen = l, kv.stores[l].FenceGen()
 			}

@@ -2,6 +2,7 @@ package omegasm_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -444,5 +445,93 @@ func TestKVCloseIdempotent(t *testing.T) {
 	kv.Close()
 	if _, ok := kv.Get(1); ok {
 		t.Error("empty closed store answered a key")
+	}
+}
+
+// TestCallsAfterCloseReturnErrClosed is the lifecycle gate: once a store
+// is closed, Put, PutAll and the blocking Read modes return ErrClosed
+// instead of waiting on an engine that will never commit again — with
+// context.Background() nothing else would end the wait — and a call
+// already waiting when Close runs is released.
+func TestCallsAfterCloseReturnErrClosed(t *testing.T) {
+	c := startCluster(t, fastOpts(3)...)
+	if _, ok := c.WaitForAgreement(10 * time.Second); !ok {
+		t.Fatal("no agreement")
+	}
+	kv, err := omegasm.NewKV(c)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s, err := omegasm.NewShardedKV(append(fastOpts(3), omegasm.WithShards(2))...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Start(); err != nil {
+		t.Fatal(err)
+	}
+	// Release: a stream of Puts is in flight when Close runs; the one
+	// caught waiting must come back with ErrClosed, not hang.
+	inflight := make(chan error, 1)
+	go func() {
+		for k := uint16(0); ; k++ {
+			if err := kv.Put(context.Background(), k%64, k); err != nil {
+				inflight <- err
+				return
+			}
+		}
+	}()
+	time.Sleep(20 * time.Millisecond)
+	kv.Close()
+	s.Close()
+	ctx := context.Background()
+	read := func(kv *omegasm.KV, mode omegasm.ReadMode) func() error {
+		return func() error { _, _, err := kv.Read(ctx, 1, mode); return err }
+	}
+	calls := []struct {
+		name string
+		call func() error
+	}{
+		{"in-flight Put", func() error { return <-inflight }},
+		{"Put", func() error { return kv.Put(ctx, 1, 1) }},
+		{"PutAll", func() error { return kv.PutAll(ctx, omegasm.Entry{Key: 1, Val: 1}, omegasm.Entry{Key: 2, Val: 2}) }},
+		{"Read(ReadQuorum)", read(kv, omegasm.ReadQuorum)},
+		{"ShardedKV.Put", func() error { return s.Put(ctx, 1, 1) }},
+		{"ShardedKV.MultiPut", func() error { return s.MultiPut(ctx, omegasm.Entry{Key: 1, Val: 1}, omegasm.Entry{Key: 2, Val: 2}) }},
+		{"ShardedKV shard Read(ReadQuorum)", read(s.Shard(0), omegasm.ReadQuorum)},
+	}
+	for _, tc := range calls {
+		if err := within(t, tc.name, tc.call); !errors.Is(err, omegasm.ErrClosed) {
+			t.Errorf("%s after Close = %v, want ErrClosed", tc.name, err)
+		}
+	}
+	// ReadLease serves locally until the frozen grant expires, then falls
+	// back to the quorum path: it must end in ErrClosed too.
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		err := within(t, "Read(ReadLease)", read(kv, omegasm.ReadLease))
+		if errors.Is(err, omegasm.ErrClosed) {
+			break
+		}
+		if err != nil {
+			t.Fatalf("Read(ReadLease) after Close = %v, want ErrClosed", err)
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("Read(ReadLease) kept serving 5s after Close; the lease never expired")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// within runs call and fails the test if it has not returned after 5s.
+func within(t *testing.T, name string, call func() error) error {
+	t.Helper()
+	done := make(chan error, 1)
+	go func() { done <- call() }()
+	select {
+	case err := <-done:
+		return err
+	case <-time.After(5 * time.Second):
+		t.Fatalf("%s still blocked after 5s", name)
+		return nil
 	}
 }

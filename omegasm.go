@@ -54,53 +54,6 @@ func (a Algorithm) String() string {
 	}
 }
 
-// Config is the closed configuration struct of the pre-options API.
-//
-// Deprecated: build clusters with New and functional options instead.
-// The field mapping is WithN(cfg.N), WithAlgorithm(cfg.Algorithm),
-// WithStepInterval(cfg.StepInterval), WithTimerUnit(cfg.TimerUnit) and
-// WithInstrumentation() for Instrument; Config cannot express substrates
-// or the fleet options.
-type Config struct {
-	// N is the number of processes (>= 2).
-	N int
-	// Algorithm selects the election algorithm; default WriteEfficient.
-	Algorithm Algorithm
-	// StepInterval is the pause between main-loop iterations of each
-	// process; default 200us. Smaller values elect faster and write more.
-	StepInterval time.Duration
-	// TimerUnit converts the algorithms' abstract timeout values into
-	// real durations; default 2ms.
-	TimerUnit time.Duration
-	// Instrument enables the shared-memory access census (Stats).
-	Instrument bool
-}
-
-// options converts the legacy struct into the equivalent option list.
-func (cfg Config) options() []Option {
-	opts := []Option{WithN(cfg.N)}
-	if cfg.Algorithm != 0 {
-		opts = append(opts, WithAlgorithm(cfg.Algorithm))
-	}
-	if cfg.StepInterval > 0 {
-		opts = append(opts, WithStepInterval(cfg.StepInterval))
-	}
-	if cfg.TimerUnit > 0 {
-		opts = append(opts, WithTimerUnit(cfg.TimerUnit))
-	}
-	if cfg.Instrument {
-		opts = append(opts, WithInstrumentation())
-	}
-	return opts
-}
-
-// NewFromConfig builds a Cluster from the legacy Config struct.
-//
-// Deprecated: use New with functional options.
-func NewFromConfig(cfg Config) (*Cluster, error) {
-	return New(cfg.options()...)
-}
-
 // Cluster is a running set of Omega processes over one shared memory.
 type Cluster struct {
 	set   *settings

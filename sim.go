@@ -8,7 +8,6 @@ import (
 	"omegasm/internal/consensus"
 	"omegasm/internal/core"
 	"omegasm/internal/engine"
-	"omegasm/internal/lease"
 	"omegasm/internal/sched"
 	"omegasm/internal/shmem"
 	"omegasm/internal/vclock"
@@ -37,8 +36,9 @@ type SimCommit struct {
 // harness, as opposed to the closed-loop SimWrite/SaturateWindow
 // workloads. A write is submitted to whichever process the oracle then
 // names leader and resubmitted across leadership changes until it
-// commits; a read is answered by the freshest live replica's applied
-// state at activation. Per-request completion times come back in
+// commits; a read is answered at activation as KV.Read(ReadFreshest)
+// answers it: from the agreed leader's applied state, or the freshest
+// live replica's during anarchy. Per-request completion times come back in
 // SimRequestResult, so virtual-time latency percentiles can be compared
 // against live-measured ones.
 type SimRequest struct {
@@ -251,11 +251,8 @@ func (cfg *SimKVConfig) normalize() (simShardConfig, error) {
 		cfg.Slots = 256
 	}
 	shard := simShardConfig{
-		n:         cfg.N,
+		shape:     simShape(cfg.N, cfg.Slots, 1, cfg.CheckpointEvery),
 		algorithm: cfg.Algorithm,
-		slots:     cfg.Slots,
-		batch:     1,
-		ckptEvery: resolveSimCkpt(cfg.CheckpointEvery, cfg.Slots, cfg.N),
 		crashes:   cfg.Crashes,
 		writes:    cfg.Writes,
 		lease:     cfg.Lease,
@@ -269,35 +266,32 @@ func (cfg *SimKVConfig) normalize() (simShardConfig, error) {
 	return shard, shard.validate()
 }
 
-// resolveSimCkpt maps the public checkpoint knob (0: default cadence,
-// negative: off) onto the resolved per-shard value, sharing NewKV's auto
-// rule so the simulator always models the live store's defaults.
-func resolveSimCkpt(every, slots, n int) int {
-	if every < 0 {
-		return 0
+// simShape maps the simulator's public log knobs onto the shared shape:
+// CheckpointEvery 0 picks the default cadence, a negative value turns
+// checkpointing off.
+func simShape(n, slots, batch, ckptEvery int) logShape {
+	switch {
+	case ckptEvery == 0:
+		ckptEvery = ckptAuto
+	case ckptEvery < 0:
+		ckptEvery = 0
 	}
-	if every == 0 {
-		return consensus.DefaultCheckpointEvery(slots, n)
-	}
-	return every
+	return logShape{n: n, slots: slots, batch: batch, ckpt: ckptEvery}
 }
 
 // simShardConfig is the resolved per-shard configuration the builders
 // consume: SimKV runs one shard, SimShardedKV one per partition.
 type simShardConfig struct {
-	n         int
+	shape     logShape // resolved by validate
 	algorithm Algorithm
-	slots     int
-	batch     int
-	ckptEvery int // resolved: 0 means off
 	crashes   map[int]int64
 	writes    []SimWrite
 	// requests is the shard's slice of the open-loop workload, each entry
 	// carrying its index in the caller's Requests slice.
 	requests []simIndexedRequest
 	// window, when positive, adds a closed-loop load generator that keeps
-	// that many commands queued on the shard's leader (the saturation
-	// workload of the scaling benchmark).
+	// that many commands in flight on the shard (the saturation workload
+	// of the scaling benchmark).
 	window int
 	// lease, when positive, is the leader-lease duration in ticks
 	// (authority-gated proposing plus the lease-read monitor).
@@ -319,28 +313,15 @@ type simIndexedRequest struct {
 }
 
 func (c *simShardConfig) validate() error {
-	if c.n < 2 {
-		return fmt.Errorf("omegasm: sim needs at least 2 processes, got %d", c.n)
+	n := c.shape.n
+	if n < 2 {
+		return fmt.Errorf("omegasm: sim needs at least 2 processes, got %d", n)
 	}
 	if !c.algorithm.valid() {
 		return fmt.Errorf("omegasm: unknown algorithm %v", c.algorithm)
 	}
-	if c.slots < 1 {
-		return fmt.Errorf("omegasm: sim needs at least 1 log slot, got %d", c.slots)
-	}
-	if c.batch < 1 {
-		return fmt.Errorf("omegasm: sim batch size must be at least 1, got %d", c.batch)
-	}
-	if c.batch > 1 && c.n > consensus.MaxBatchProcs {
-		return fmt.Errorf("omegasm: sim batching supports at most %d processes, got %d", consensus.MaxBatchProcs, c.n)
-	}
-	if c.ckptEvery > 0 {
-		if c.n > consensus.MaxBatchProcs {
-			return fmt.Errorf("omegasm: sim checkpointing supports at most %d processes, got %d", consensus.MaxBatchProcs, c.n)
-		}
-		if c.ckptEvery >= c.slots {
-			return fmt.Errorf("omegasm: sim checkpoint interval %d must be below the %d-slot window", c.ckptEvery, c.slots)
-		}
+	if err := c.shape.resolve(); err != nil {
+		return err
 	}
 	// Validate in sorted pid order: with several bad entries the error
 	// reported must be the same on every run (map order must never pick
@@ -351,17 +332,18 @@ func (c *simShardConfig) validate() error {
 	}
 	sort.Ints(pids)
 	for _, p := range pids {
-		if t := c.crashes[p]; p < 0 || p >= c.n {
-			return fmt.Errorf("omegasm: crash schedule names process %d of %d", p, c.n)
+		if t := c.crashes[p]; p < 0 || p >= n {
+			return fmt.Errorf("omegasm: crash schedule names process %d of %d", p, n)
 		} else if t < 0 {
 			return fmt.Errorf("omegasm: crash time %d for process %d is negative", t, p)
 		}
 	}
-	if len(c.crashes) >= c.n {
-		return fmt.Errorf("omegasm: crash schedule kills all %d processes; at least one must survive", c.n)
+	if len(c.crashes) >= n {
+		return fmt.Errorf("omegasm: crash schedule kills all %d processes; at least one must survive", n)
 	}
+	claimed := c.shape.reservesTopRow()
 	for _, wr := range c.writes {
-		if consensus.IsReserved(consensus.EncodeSet(wr.Key, wr.Val), c.batch > 1 || c.ckptEvery > 0) {
+		if consensus.IsReserved(consensus.EncodeSet(wr.Key, wr.Val), claimed) {
 			return fmt.Errorf("omegasm: key/value pair (0x%04x, 0x%04x) is reserved", wr.Key, wr.Val)
 		}
 		if wr.At < 0 {
@@ -370,7 +352,7 @@ func (c *simShardConfig) validate() error {
 	}
 	for _, ir := range c.requests {
 		r := ir.req
-		if !r.Read && consensus.IsReserved(consensus.EncodeSet(r.Key, r.Val), c.batch > 1 || c.ckptEvery > 0) {
+		if !r.Read && consensus.IsReserved(consensus.EncodeSet(r.Key, r.Val), claimed) {
 			return fmt.Errorf("omegasm: request key/value pair (0x%04x, 0x%04x) is reserved", r.Key, r.Val)
 		}
 		if r.At < 0 {
@@ -383,9 +365,6 @@ func (c *simShardConfig) validate() error {
 	if c.lease < 0 {
 		return fmt.Errorf("omegasm: lease duration %d is negative", c.lease)
 	}
-	if c.lease > 0 && c.ckptEvery == 0 && c.batch <= 1 {
-		return fmt.Errorf("omegasm: leases need a log that reserves the descriptor row (enable checkpointing or batching)")
-	}
 	if err := c.faults.validate(); err != nil {
 		return err
 	}
@@ -395,26 +374,22 @@ func (c *simShardConfig) validate() error {
 	return nil
 }
 
-// simRun holds one shard's machinery while the engine executes it.
+// simRun holds one shard's machinery while the engine executes it: the
+// election processes and the crash schedule that form the leadership
+// view, the replica group that view drives, and the workload and
+// observation machines around it.
 type simRun struct {
 	sim     *engine.Sim
 	crashes map[int]int64
 	procs   []core.Proc
-	kvs     []*consensus.KV
-	ids     []int // replica machine ids, for wake notifications
-	writer  *simWriter
-	open    *simOpenLoad
-	watcher *simWatcher
+	g       *replicaGroup
 
-	// Lease machinery of a leased run (cfg.lease > 0), nil otherwise.
-	lease    *lease.Register
-	leaseDur int64
-	monitor  *simLeaseMonitor
-
+	// client drives Writes and Requests (nil when there are none);
+	// monitor is a leased run's lease-read client (nil when unleased).
+	client  *simClient
+	monitor *simLeaseMonitor
 	// rec is the scenario recorder of a recorded run, nil otherwise.
 	rec *simHistoryRecorder
-	// mutation is the run's seeded correctness bug (MutNone: none).
-	mutation SimMutation
 }
 
 // simHistoryRecorder merges every replica's apply observations into one
@@ -494,107 +469,6 @@ func (m simProcMachine) Step(now vclock.Time) engine.Hint {
 
 func (m simProcMachine) OnTimer(now vclock.Time) uint64 { return m.p.OnTimer(now) }
 
-// simReplicaMachine drives one replica's store under the adversary's
-// pacing. Unlike the live engine there is no burst draining: the pacing
-// is the asynchrony model, so each wake is one micro-step. On a leased
-// run it also performs the holder's housekeeping, mirroring the live
-// kvMachine: extend while holding, acquire when agreed leader, and fence
-// a fresh grant with a catch-up barrier before marking it readable.
-type simReplicaMachine struct {
-	r   *simRun
-	idx int
-
-	// Lease catch-up bookkeeping (leased runs only): the fence generation
-	// snapshot taken at acquisition, the grant epoch it fences, and
-	// whether the barrier completed (the grant is marked readable).
-	acqGen      uint64
-	acqEpoch    uint64
-	barrierDone bool
-}
-
-//omegalint:allow wakehint sim-only machine: each wake is one paced micro-step of the asynchrony model, so WakeNow cannot spin
-func (m *simReplicaMachine) Step(now vclock.Time) engine.Hint {
-	r := m.r
-	kv := r.kvs[m.idx]
-	holder := false
-	if r.lease != nil {
-		if epoch, ok := r.lease.Held(m.idx, now); ok {
-			holder = r.lease.Extend(m.idx, now, r.leaseDur)
-			m.acqEpoch = epoch
-		} else if l, ok := r.agreedLeader(now); ok && l == m.idx {
-			// Expired or never held: (re)acquire under a fresh epoch. The
-			// fence snapshot is taken before this step's proposing, so the
-			// barrier provably covers every prior authority's commits.
-			// MutPrematureLeaseExtend runs the acquire guard with a negative
-			// skew bound, admitting a new grant while the previous one is
-			// still valid — the seeded bug the lease checker must catch.
-			eps := int64(0)
-			if r.mutation == MutPrematureLeaseExtend {
-				eps = -2 * r.leaseDur
-			}
-			if epoch, ok := r.lease.Acquire(m.idx, now, r.leaseDur, eps); ok {
-				holder = true
-				m.acqEpoch = epoch
-				m.acqGen = kv.FenceGen()
-				m.barrierDone = false
-			}
-		}
-	}
-	// Shed the queue under another replica's reign before stepping, as the
-	// live kvMachine does (the watcher alone leaves a window in which a
-	// re-elected stale queue could commit old writes after newer ones).
-	if l, ok := r.agreedLeader(now); ok && l != m.idx {
-		kv.DropPending()
-	}
-	kv.Step(now)
-	if holder && !m.barrierDone {
-		if kv.FencedSince(m.acqGen) {
-			r.lease.MarkReadable(m.acqEpoch, m.idx)
-			m.barrierDone = true
-		} else if kv.PendingLen() == 0 {
-			// Idle store: nothing in flight will fence for us, so commit a
-			// no-op barrier. Submission failures cannot happen here (leased
-			// runs validated the descriptor row), but stay defensive.
-			if kv.SubmitBarrier() != nil {
-				m.barrierDone = true
-			}
-		}
-	}
-	return engine.Now()
-}
-
-// simWatcher is the leadership watcher: on a change of agreed leader it
-// drops the queues stranded on the other replicas (see NewKV for why)
-// and wakes every replica.
-type simWatcher struct {
-	r          *simRun
-	lastLeader int
-	// changes counts agreed-leader changes after the first settlement
-	// (the campaign's leader-churn metric).
-	changes int
-}
-
-func (w *simWatcher) Step(now vclock.Time) engine.Hint {
-	if l, ok := w.r.agreedLeader(now); ok && l != w.lastLeader {
-		for i, st := range w.r.kvs {
-			if i != l {
-				st.DropPending()
-			}
-		}
-		if w.lastLeader != -1 {
-			w.changes++
-		}
-		w.lastLeader = l
-		// Wake every replica, as the live watcher does: the new leader may
-		// hold a queue, and parked followers may sit on unlearned slots a
-		// dead leader decided.
-		for _, id := range w.r.ids {
-			w.r.sim.Notify(id)
-		}
-	}
-	return engine.At(now + 16)
-}
-
 // simLeaseMonitor is the adversarial lease-read client of a leased run:
 // every few ticks it performs the exact lease-read protocol (readable
 // grant -> serve from the holder's applied state) and checks the two
@@ -624,20 +498,20 @@ type simLeaseMonitor struct {
 }
 
 func (m *simLeaseMonitor) Step(now vclock.Time) engine.Hint {
-	holder, epoch, ok := m.r.lease.ReadableHolder(now)
+	holder, epoch, ok := m.r.g.lease.ReadableHolder(now)
 	if !ok {
 		m.fallbacks++
 		return engine.At(now + 4)
 	}
 	m.reads++
-	kv := m.r.kvs[holder]
+	kv := m.r.g.stores[holder]
 	applied := kv.Applied()
 	if applied < m.lastApplied {
 		m.violations = append(m.violations, fmt.Sprintf(
 			"t=%d epoch=%d holder=%d: lease read went back in time (applied %d after %d)",
 			now, epoch, holder, applied, m.lastApplied))
 	}
-	for p, other := range m.r.kvs {
+	for p, other := range m.r.g.stores {
 		if p != holder && m.r.live(p, now) && other.CommittedLen() > applied {
 			m.violations = append(m.violations, fmt.Sprintf(
 				"t=%d epoch=%d holder=%d: stale lease read (replica %d committed %d > holder applied %d)",
@@ -648,251 +522,103 @@ func (m *simLeaseMonitor) Step(now vclock.Time) engine.Hint {
 	return engine.At(now + 4)
 }
 
-// simActiveWrite is one workload write in flight.
-type simActiveWrite struct {
-	write       SimWrite
-	cmd         uint32
-	marks       []int // committed watermark per replica at activation
-	submittedTo int
-	submitGen   uint64
-	done        bool
-	doneAt      vclock.Time // confirmation time (valid when done)
-}
-
-// simWriter is the deterministic Put loop: it activates writes at their
-// times, submits to the agreed leader, confirms commits against
-// activation watermarks, and resubmits when leadership moves.
-type simWriter struct {
-	r         *simRun
-	writes    []SimWrite // sorted by At
-	next      int
-	active    []*simActiveWrite
-	delivered int
-}
-
-func (w *simWriter) Step(now vclock.Time) engine.Hint {
-	// Confirm commits first, so a write activated this tick cannot match
-	// a historical entry.
-	for _, aw := range w.active {
-		if aw.done {
-			continue
-		}
-		for i, kv := range w.r.kvs {
-			if w.r.live(i, now) && kv.CommittedContainsAfter(aw.marks[i], aw.cmd) {
-				aw.done = true
-				aw.doneAt = now
-				w.delivered++
-				break
-			}
-		}
-	}
-	for w.next < len(w.writes) && w.writes[w.next].At <= now {
-		wr := w.writes[w.next]
-		aw := &simActiveWrite{write: wr, cmd: consensus.EncodeSet(wr.Key, wr.Val), submittedTo: -1}
-		for _, kv := range w.r.kvs {
-			aw.marks = append(aw.marks, kv.CommittedLen())
-		}
-		w.active = append(w.active, aw)
-		w.next++
-	}
-	outstanding := false
-	if l, ok := w.r.agreedLeader(now); ok {
-		gen := w.r.kvs[l].DropGeneration()
-		for _, aw := range w.active {
-			if aw.done {
-				continue
-			}
-			outstanding = true
-			// Resubmit on a leader change, and when a flap this machine
-			// never observed swept the command from the leader's queue (its
-			// drop generation moved since the submit).
-			if aw.submittedTo != l || aw.submitGen != gen {
-				if err := w.r.kvs[l].Set(aw.write.Key, aw.write.Val); err == nil {
-					aw.submittedTo, aw.submitGen = l, gen
-					w.r.sim.Notify(w.r.ids[l])
-					// MutDropQuorumAck: acknowledge at submission instead of
-					// commit confirmation. A leader crash between here and the
-					// commit loses an acknowledged write.
-					if w.r.mutation == MutDropQuorumAck {
-						aw.done = true
-						aw.doneAt = now
-						w.delivered++
-					}
-				}
-			}
-		}
-	} else {
-		for _, aw := range w.active {
-			if !aw.done {
-				outstanding = true
-			}
-		}
-	}
-	if !outstanding && w.next == len(w.writes) {
-		return engine.Park() // all delivered; nothing will reactivate us
-	}
-	wake := now + 8
-	if !outstanding && w.next < len(w.writes) && w.writes[w.next].At > wake {
-		wake = w.writes[w.next].At
-	}
-	return engine.At(wake)
-}
-
-// simOpenRequest is one open-loop request in flight or completed. A
-// write carries the same submission bookkeeping as simActiveWrite
-// (activation watermarks, submit target and drop generation); a read
-// completes at activation.
-type simOpenRequest struct {
-	req         SimRequest
-	index       int
-	cmd         uint32
-	marks       []int
-	submittedTo int
-	submitGen   uint64
-	done        bool
-	doneAt      vclock.Time
-	// gotVal/gotOK is a read's observed answer (valid when done), kept
-	// for the recorded history.
+// simOp is one workload operation of a run — a SimWrite (index -1) or a
+// SimRequest (its index in the caller's Requests) — with its outcome.
+type simOp struct {
+	req    SimRequest
+	index  int
+	put    putOp
+	done   bool
+	doneAt vclock.Time // completion time (valid when done)
+	// gotVal/gotOK is a read's answer (valid when done), kept for the
+	// recorded history.
 	gotVal uint16
 	gotOK  bool
 }
 
-// simOpenLoad is the open-loop arrival machine of the load harness:
-// requests activate at their scheduled virtual times — never gated on
-// earlier completions, exactly the open-loop client model — and each
-// one's completion time is recorded. Reads are answered at activation
-// from the freshest live replica's applied state; writes follow the
-// simWriter protocol (submit to the agreed leader, confirm against
-// activation watermarks, resubmit when leadership moves or the queue is
-// swept). While work is outstanding the machine runs adversary-paced
-// (WakeNow), so activation and confirmation granularity is the same
-// pacing noise every other machine of the model experiences.
-type simOpenLoad struct {
+// simClient is the workload driver, the deterministic analogue of the
+// live callers: each operation starts at its arrival time — open loop,
+// never gated on earlier completions — a read answers at once from the
+// group's read replica (ReadFreshest), and a write is a putOp polled on
+// every commit notification and at the fallback cadence until it
+// commits, exactly as Put polls it.
+type simClient struct {
 	r      *simRun
-	reqs   []*simOpenRequest // sorted by (At, submission index)
-	next   int
-	active []*simOpenRequest // writes awaiting commit confirmation
+	ops    []*simOp // sorted by arrival
+	next   int      // ops[:next] have arrived
+	active []*simOp // writes awaiting commit
 }
 
-//omegalint:allow wakehint sim-only machine: WakeNow only while requests are outstanding, and the seeded adversary paces every poll
-func (w *simOpenLoad) Step(now vclock.Time) engine.Hint {
-	// Confirm outstanding writes first, so a request activated this tick
-	// cannot match a historical commit.
-	live := w.active[:0]
-	for _, ar := range w.active {
-		if !ar.done {
-			for i, kv := range w.r.kvs {
-				if w.r.live(i, now) && kv.CommittedContainsAfter(ar.marks[i], ar.cmd) {
-					ar.done = true
-					ar.doneAt = now
-					break
-				}
-			}
-		}
-		if !ar.done {
-			live = append(live, ar)
+func (c *simClient) Step(now vclock.Time) engine.Hint {
+	g := c.r.g
+	for ; c.next < len(c.ops) && c.ops[c.next].req.At <= now; c.next++ {
+		op := c.ops[c.next]
+		if op.req.Read {
+			op.gotVal, op.gotOK = g.readStore().Get(op.req.Key)
+			op.done, op.doneAt = true, now
+		} else if op.put.start(g, []Entry{{Key: op.req.Key, Val: op.req.Val}}) == nil {
+			c.active = append(c.active, op)
 		}
 	}
-	w.active = live
-	for w.next < len(w.reqs) && w.reqs[w.next].req.At <= now {
-		ar := w.reqs[w.next]
-		w.next++
-		if ar.req.Read {
-			// A read is local: answered by the freshest live replica's
-			// applied state the moment the client's request is scheduled.
-			// Its open-loop latency is the arrival queueing alone.
-			freshest := -1
-			for i := range w.r.kvs {
-				if w.r.live(i, now) && (freshest < 0 || w.r.kvs[i].CommittedLen() > w.r.kvs[freshest].CommittedLen()) {
-					freshest = i
-				}
-			}
-			if freshest >= 0 {
-				ar.gotVal, ar.gotOK = w.r.kvs[freshest].Get(ar.req.Key)
-			}
-			ar.done = true
-			ar.doneAt = now
-			continue
-		}
-		ar.cmd = consensus.EncodeSet(ar.req.Key, ar.req.Val)
-		ar.submittedTo = -1
-		for _, kv := range w.r.kvs {
-			ar.marks = append(ar.marks, kv.CommittedLen())
-		}
-		w.active = append(w.active, ar)
-	}
-	if l, ok := w.r.agreedLeader(now); ok && len(w.active) > 0 {
-		gen := w.r.kvs[l].DropGeneration()
-		notify := false
-		for _, ar := range w.active {
-			// Submit once per reign: resubmit on a leader change, and when
-			// a flap swept the leader's queue since the submit.
-			if ar.done {
-				continue
-			}
-			if ar.submittedTo != l || ar.submitGen != gen {
-				if err := w.r.kvs[l].Set(ar.req.Key, ar.req.Val); err == nil {
-					ar.submittedTo, ar.submitGen = l, gen
-					notify = true
-					// MutDropQuorumAck: see simWriter — ack at submission.
-					if w.r.mutation == MutDropQuorumAck {
-						ar.done = true
-						ar.doneAt = now
-					}
-				}
-			}
-		}
-		if notify {
-			w.r.sim.Notify(w.r.ids[l])
+	pending := c.active[:0]
+	for _, op := range c.active {
+		// A write whose poll errors (a fixed log exhausted) never commits.
+		if done, err := op.put.poll(); done {
+			op.done, op.doneAt = true, now
+		} else if err == nil {
+			pending = append(pending, op)
 		}
 	}
-	if len(w.active) > 0 {
-		return engine.Now()
+	c.active = pending
+	wake := vclock.Time(-1)
+	if len(c.active) > 0 {
+		wake = now + g.poll
 	}
-	if w.next < len(w.reqs) {
-		at := w.reqs[w.next].req.At
-		if at <= now {
-			at = now + 1
-		}
-		return engine.At(at)
+	if c.next < len(c.ops) && (wake < 0 || c.ops[c.next].req.At < wake) {
+		wake = c.ops[c.next].req.At
 	}
-	return engine.Park() // every request completed; nothing will reactivate us
+	if wake < 0 {
+		return engine.Park() // every operation completed
+	}
+	return engine.At(wake)
 }
 
-// simLoadWriter is the closed-loop saturation workload of the scaling
-// benchmark: it keeps window commands queued on the shard's agreed
-// leader, refilling as batches commit, so the shard's consensus pipeline
-// is never starved and the committed count measures its capacity. Keys
-// cycle over the low key space; delivery is not tracked (the committed
-// history is the measurement).
-type simLoadWriter struct {
+// simSaturator is the closed-loop saturation workload of the scaling
+// benchmark: it keeps a window of commands in flight as one putOp and
+// starts the next window once the last one commits, so the shard's
+// consensus pipeline is never starved and the committed count measures
+// its capacity. Keys cycle over the low key space; delivery is not
+// tracked (the committed history is the measurement).
+type simSaturator struct {
 	r      *simRun
 	window int
 	nextK  uint32
+	put    putOp
+	busy   bool
 }
 
-func (w *simLoadWriter) Step(now vclock.Time) engine.Hint {
-	l, ok := w.r.agreedLeader(now)
-	if !ok {
-		return engine.At(now + 16)
-	}
-	kv := w.r.kvs[l]
-	if kv.LogFull() {
-		return engine.Park()
-	}
-	refilled := false
-	for kv.PendingLen() < w.window {
-		// Keys stay far below the reserved 0xFFFF row.
-		if err := kv.Set(uint16(w.nextK%1024), uint16(w.nextK)); err != nil {
-			break
+func (s *simSaturator) Step(now vclock.Time) engine.Hint {
+	if !s.busy {
+		entries := make([]Entry, s.window)
+		for i := range entries {
+			// Keys stay far below the reserved 0xFFFF row.
+			entries[i] = Entry{Key: uint16(s.nextK % 1024), Val: uint16(s.nextK)}
+			s.nextK++
 		}
-		w.nextK++
-		refilled = true
+		if s.put.start(s.r.g, entries) != nil {
+			return engine.Park()
+		}
+		s.busy = true
 	}
-	if refilled {
-		w.r.sim.Notify(w.r.ids[l])
+	done, err := s.put.poll()
+	switch {
+	case err != nil:
+		return engine.Park() // a fixed log is exhausted
+	case done:
+		s.busy = false
+		return engine.At(now + 1)
 	}
-	return engine.At(now + 4)
+	return engine.At(now + s.r.g.poll)
 }
 
 // simElectionClasses names the register classes eligible for fault
@@ -928,9 +654,9 @@ func simBrownout(f *SimFaults, p engine.Pacing) engine.Pacing {
 // writers — and registers every machine on sim. Machines are added in a
 // fixed order, so the run stays a pure function of (seed, config).
 func addSimShard(sim *engine.Sim, cfg simShardConfig) (*simRun, error) {
-	n := cfg.n
+	n := cfg.shape.n
 	mem := shmem.NewSimMem(n)
-	run := &simRun{sim: sim, crashes: cfg.crashes, mutation: cfg.mutation}
+	run := &simRun{sim: sim, crashes: cfg.crashes}
 
 	// The election build sees the (possibly) faulted view of the shared
 	// memory; the consensus log below always gets the raw atomic memory,
@@ -1006,84 +732,76 @@ func addSimShard(sim *engine.Sim, cfg simShardConfig) (*simRun, error) {
 		sim.Add(simProcMachine{p: run.procs[p]}, opts...)
 	}
 
-	log, err := consensus.NewCheckpointLog(mem, n, cfg.slots, cfg.batch, cfg.ckptEvery)
+	// MutPrematureLeaseExtend runs the acquire guard with a negative skew
+	// bound, admitting a new grant while the previous one is still valid;
+	// MutDropQuorumAck acknowledges writes at submission.
+	eps := int64(0)
+	if cfg.mutation == MutPrematureLeaseExtend {
+		eps = -2 * cfg.lease
+	}
+	var drivers []int // workload machines, woken by commits as Put waiters are
+	g, err := newReplicaGroup(mem, groupParams{
+		shape:       cfg.shape,
+		leaseDur:    cfg.lease,
+		leaseEps:    eps,
+		burst:       1, // the pacing is the asynchrony model: one micro-step per wake
+		poll:        16,
+		ackAtSubmit: cfg.mutation == MutDropQuorumAck,
+		view: leaderView{
+			agreed:  func() (int, bool) { return run.agreedLeader(sim.Now()) },
+			crashed: func(i int) bool { return !run.live(i, sim.Now()) },
+		},
+		oracle: func(i int) func() int { return run.procs[i].Leader },
+		notify: sim.Notify,
+		onCommit: func() {
+			for _, id := range drivers {
+				sim.Notify(id)
+			}
+		},
+	})
 	if err != nil {
-		return nil, fmt.Errorf("omegasm: sim log: %w", err)
+		return nil, err
 	}
-	if cfg.lease > 0 {
-		run.lease = &lease.Register{}
-		run.lease.EnableHistory()
-		run.leaseDur = cfg.lease
+	run.g = g
+	if g.lease != nil {
+		g.lease.EnableHistory()
 	}
-	for i := 0; i < n; i++ {
-		i := i
-		replica, err := consensus.NewReplica(log, i, func() int { return run.procs[i].Leader() })
-		if err != nil {
-			return nil, fmt.Errorf("omegasm: sim replica %d: %w", i, err)
-		}
-		kv, err := consensus.NewKV(replica)
-		if err != nil {
-			return nil, fmt.Errorf("omegasm: sim replica %d: %w", i, err)
-		}
-		if run.lease != nil {
-			// The authority gate: a replica only arms proposals while its
-			// lease is valid, which is what confines commits to grant
-			// windows (same wiring as NewKV's live stores).
-			reg := run.lease
-			kv.SetAuthority(func(t vclock.Time) bool {
-				_, held := reg.Held(i, t)
-				return held
-			})
-		}
+	for i, st := range g.stores {
 		if cfg.record {
 			if run.rec == nil {
 				run.rec = &simHistoryRecorder{order: make(map[int]uint32)}
 			}
 			rec := run.rec
-			kv.SetApplyObserver(func(pos int, cmd uint32) {
+			st.SetApplyObserver(func(pos int, cmd uint32) {
 				rec.note(pos, cmd, sim.Now())
 			})
 		}
-		run.kvs = append(run.kvs, kv)
 		opts := []engine.SimOpt{engine.WithPacing(simBrownout(cfg.faults, sched.Uniform{Min: 1, Max: 8}))}
 		if ct, ok := cfg.crashes[i]; ok {
 			opts = append(opts, engine.WithCrashAt(ct))
 		}
-		run.ids = append(run.ids, sim.Add(&simReplicaMachine{r: run, idx: i}, opts...))
+		g.ids = append(g.ids, sim.Add(g.replica(i), opts...))
 	}
-
-	run.watcher = &simWatcher{r: run, lastLeader: -1}
-	sim.Add(run.watcher, engine.WithFirstWakeAt(16))
-	if run.lease != nil {
+	sim.Add(engine.MachineFunc(g.watch), engine.WithFirstWakeAt(16))
+	if g.lease != nil {
 		run.monitor = &simLeaseMonitor{r: run}
 		sim.Add(run.monitor, engine.WithFirstWakeAt(16))
 	}
 
-	if len(cfg.writes) > 0 {
-		writes := append([]SimWrite(nil), cfg.writes...)
-		sort.SliceStable(writes, func(i, j int) bool { return writes[i].At < writes[j].At })
-		run.writer = &simWriter{r: run, writes: writes}
-		first := vclock.Time(1)
-		if writes[0].At > first {
-			first = writes[0].At
-		}
-		sim.Add(run.writer, engine.WithFirstWakeAt(first))
+	var ops []*simOp
+	for _, w := range cfg.writes {
+		ops = append(ops, &simOp{req: SimRequest{At: w.At, Key: w.Key, Val: w.Val}, index: -1})
 	}
-	if len(cfg.requests) > 0 {
-		reqs := make([]*simOpenRequest, 0, len(cfg.requests))
-		for _, ir := range cfg.requests {
-			reqs = append(reqs, &simOpenRequest{req: ir.req, index: ir.index})
-		}
-		sort.SliceStable(reqs, func(i, j int) bool { return reqs[i].req.At < reqs[j].req.At })
-		run.open = &simOpenLoad{r: run, reqs: reqs}
-		first := vclock.Time(1)
-		if reqs[0].req.At > first {
-			first = reqs[0].req.At
-		}
-		sim.Add(run.open, engine.WithFirstWakeAt(first))
+	for _, ir := range cfg.requests {
+		ops = append(ops, &simOp{req: ir.req, index: ir.index})
+	}
+	if len(ops) > 0 {
+		sort.SliceStable(ops, func(i, j int) bool { return ops[i].req.At < ops[j].req.At })
+		run.client = &simClient{r: run, ops: ops}
+		drivers = append(drivers, sim.Add(run.client, engine.WithFirstWakeAt(max(1, ops[0].req.At))))
 	}
 	if cfg.window > 0 {
-		sim.Add(&simLoadWriter{r: run, window: cfg.window}, engine.WithFirstWakeAt(16))
+		drivers = append(drivers, sim.Add(&simSaturator{r: run, window: cfg.window}, engine.WithFirstWakeAt(16)))
 	}
 	return run, nil
 }
@@ -1092,22 +810,17 @@ func addSimShard(sim *engine.Sim, cfg simShardConfig) (*simRun, error) {
 func (r *simRun) collect(end vclock.Time) *SimKVResult {
 	n := len(r.procs)
 	res := &SimKVResult{
-		State:   make(map[uint16]uint16),
-		Crashed: make([]bool, n),
-		Leaders: make([]int, n),
-		End:     end,
+		State:         make(map[uint16]uint16),
+		Crashed:       make([]bool, n),
+		Leaders:       make([]int, n),
+		LeaderChanges: r.g.changes,
+		End:           end,
 	}
-	if r.writer != nil {
-		res.Delivered = r.writer.delivered
-	}
-	if r.watcher != nil {
-		res.LeaderChanges = r.watcher.changes
-	}
-	if r.lease != nil {
+	if r.g.lease != nil {
 		res.LeaseReads = r.monitor.reads
 		res.LeaseFallbacks = r.monitor.fallbacks
 		res.LeaseViolations = append(res.LeaseViolations, r.monitor.violations...)
-		for _, g := range r.lease.History() {
+		for _, g := range r.g.lease.History() {
 			res.LeaseGrants = append(res.LeaseGrants, SimLeaseGrant{
 				Epoch: g.Epoch, Holder: g.Holder,
 				AcquiredAt: int64(g.AcquiredAt), Expiry: int64(g.Expiry),
@@ -1120,22 +833,26 @@ func (r *simRun) collect(end vclock.Time) *SimKVResult {
 		res.LeaseViolations = append(res.LeaseViolations,
 			check.Leases(simCheckGrants(res.LeaseGrants), 0)...)
 	}
-	if r.open != nil {
-		for _, ar := range r.open.reqs {
-			rr := SimRequestResult{
-				Index: ar.index,
-				At:    ar.req.At,
-				Done:  -1,
-				Read:  ar.req.Read,
-				Class: ar.req.Class,
+	undelivered := false
+	if r.client != nil {
+		for _, op := range r.client.ops {
+			if op.index < 0 {
+				if op.done {
+					res.Delivered++
+				} else {
+					undelivered = true
+				}
+				continue
 			}
-			if ar.done {
-				rr.Done = ar.doneAt
+			rr := SimRequestResult{Index: op.index, At: op.req.At, Done: -1, Read: op.req.Read, Class: op.req.Class}
+			if op.done {
+				rr.Done = op.doneAt
 			}
 			res.Requests = append(res.Requests, rr)
 		}
 		sort.Slice(res.Requests, func(i, j int) bool { return res.Requests[i].Index < res.Requests[j].Index })
 	}
+	stores := r.g.stores
 	freshest := -1
 	for p := 0; p < n; p++ {
 		if !r.live(p, end) {
@@ -1144,12 +861,12 @@ func (r *simRun) collect(end vclock.Time) *SimKVResult {
 			continue
 		}
 		res.Leaders[p] = r.procs[p].Leader()
-		if freshest < 0 || r.kvs[p].CommittedLen() > r.kvs[freshest].CommittedLen() {
+		if freshest < 0 || stores[p].CommittedLen() > stores[freshest].CommittedLen() {
 			freshest = p
 		}
 	}
 	if freshest >= 0 {
-		kv := r.kvs[freshest]
+		kv := stores[freshest]
 		res.CommittedTotal = kv.CommittedLen()
 		res.SlotsUsed = kv.SlotsDecided()
 		res.Checkpoints = kv.Checkpoints()
@@ -1164,7 +881,7 @@ func (r *simRun) collect(end vclock.Time) *SimKVResult {
 		res.CommitStallMax = r.rec.maxStall
 		// The tail counts as a stall only when work was actually starved:
 		// a run whose writes all delivered is simply done.
-		if r.writer != nil && res.Delivered < len(r.writer.writes) {
+		if undelivered {
 			if tail := int64(end - r.rec.lastCommitAt); tail > res.CommitStallMax {
 				res.CommitStallMax = tail
 			}
@@ -1181,34 +898,16 @@ func (r *simRun) collect(end vclock.Time) *SimKVResult {
 // there, Verify re-derives it from Grants).
 func (r *simRun) assembleHistory(res *SimKVResult, freshest int) *check.History {
 	h := &check.History{}
-	if r.writer != nil {
-		for _, aw := range r.writer.active {
-			op := check.Op{Kind: check.Put, Key: aw.write.Key, Val: aw.write.Val, Invoke: aw.write.At, Return: -1}
-			if aw.done {
-				op.Return = int64(aw.doneAt)
+	if r.client != nil {
+		for _, op := range r.client.ops[:r.client.next] {
+			o := check.Op{Kind: check.Put, Client: op.req.Client, Key: op.req.Key, Val: op.req.Val, Invoke: op.req.At, Return: -1}
+			if op.req.Read {
+				o.Kind, o.Mode, o.Val, o.Found = check.Get, check.Freshest, op.gotVal, op.gotOK
 			}
-			h.Ops = append(h.Ops, op)
-		}
-	}
-	if r.open != nil {
-		for _, ar := range r.open.reqs {
-			op := check.Op{Client: ar.req.Client, Key: ar.req.Key, Invoke: ar.req.At, Return: -1}
-			if ar.req.Read {
-				op.Kind = check.Get
-				op.Mode = check.Freshest
-				if ar.done {
-					op.Return = int64(ar.doneAt)
-					op.Val = ar.gotVal
-					op.Found = ar.gotOK
-				}
-			} else {
-				op.Kind = check.Put
-				op.Val = ar.req.Val
-				if ar.done {
-					op.Return = int64(ar.doneAt)
-				}
+			if op.done {
+				o.Return = int64(op.doneAt)
 			}
-			h.Ops = append(h.Ops, op)
+			h.Ops = append(h.Ops, o)
 		}
 	}
 	poss := make([]int, 0, len(r.rec.order))
@@ -1221,7 +920,7 @@ func (r *simRun) assembleHistory(res *SimKVResult, freshest int) *check.History 
 		h.Commits = append(h.Commits, check.Commit{Pos: p, Key: k, Val: v})
 	}
 	if freshest >= 0 {
-		h.FinalApplied = r.kvs[freshest].Applied()
+		h.FinalApplied = r.g.stores[freshest].Applied()
 		h.Final = res.State
 	}
 	h.Grants = simCheckGrants(res.LeaseGrants)
@@ -1318,9 +1017,10 @@ type SimShardedKVConfig struct {
 	// Requests, in submission order.
 	Requests []SimRequest
 	// SaturateWindow, when positive, adds one closed-loop load generator
-	// per shard that keeps that many commands queued on the shard's
-	// leader — the saturation workload whose committed count measures
-	// shard capacity. Zero: no generated load.
+	// per shard that keeps that many commands in flight — one group write
+	// of that many entries, the next submitted once it commits — the
+	// saturation workload whose committed count measures shard capacity.
+	// Zero: no generated load.
 	SaturateWindow int
 	// Record turns on the scenario recorder per shard (each shard's
 	// result carries its own History); see SimKVConfig.Record.
@@ -1378,11 +1078,8 @@ func (cfg *SimShardedKVConfig) normalize() ([]simShardConfig, error) {
 	shards := make([]simShardConfig, cfg.Shards)
 	for s := range shards {
 		shards[s] = simShardConfig{
-			n:         cfg.N,
+			shape:     simShape(cfg.N, cfg.Slots, cfg.BatchSize, cfg.CheckpointEvery),
 			algorithm: cfg.Algorithm,
-			slots:     cfg.Slots,
-			batch:     cfg.BatchSize,
-			ckptEvery: resolveSimCkpt(cfg.CheckpointEvery, cfg.Slots, cfg.N),
 			crashes:   map[int]int64{},
 			window:    cfg.SaturateWindow,
 			record:    cfg.Record,

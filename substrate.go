@@ -49,8 +49,8 @@ type atomicSubstrate struct{}
 func (atomicSubstrate) Name() string { return "atomic" }
 
 func (atomicSubstrate) pacing() (time.Duration, time.Duration) {
-	// The shared engine defaults: one source for the live engine, the
-	// Drive shim and the options layer, so they cannot drift.
+	// The shared engine defaults: one source for the live engine and the
+	// options layer, so they cannot drift.
 	return engine.DefaultStepInterval, engine.DefaultTimerUnit
 }
 
