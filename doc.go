@@ -137,5 +137,5 @@
 // Leader always returns some process id — needs no assumption at all.
 //
 // See ARCHITECTURE.md in the repository for the layer map and a
-// data-flow walkthrough of one write from enqueue to commit broadcast.
+// data-flow walkthrough of one write from enqueue to acknowledgment.
 package omegasm

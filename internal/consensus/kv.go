@@ -67,6 +67,9 @@ type KV struct {
 	// application point without per-command applies). Written before
 	// stepping begins, called under mu.
 	applyObs func(pos int, cmd uint32)
+	// commitHook, when set, is the store owner's acknowledgment hook (see
+	// SetCommitHook); called under mu right after applyObs.
+	commitHook func(pos int, cmd uint32)
 
 	// submitMu guards the staging buffer writers append to; StepBurst
 	// drains it into the replica's queue under mu. Lock order: mu before
@@ -161,6 +164,9 @@ func (kv *KV) applyCommittedLocked() {
 		if kv.applyObs != nil {
 			kv.applyObs(a, cmd)
 		}
+		if kv.commitHook != nil {
+			kv.commitHook(a, cmd)
+		}
 		a++
 		kv.applied.Store(int64(a))
 	}
@@ -177,6 +183,22 @@ func (kv *KV) SetApplyObserver(f func(pos int, cmd uint32)) {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
 	kv.applyObs = f
+}
+
+// SetCommitHook installs the hook through which the store's owner
+// acknowledges writes: it runs for every command this replica
+// individually applies, with its global stream position, under the step
+// lock and before any checkpoint can trim that position from the retained
+// tail — so a waiter matching commands here never misses one, unlike a
+// scan of the tail after the fact. Positions skipped by a snapshot
+// install are not replayed (the replica that sealed the snapshot applied
+// them). It is separate from SetApplyObserver so an observer and the
+// owner can both attach; the same rules apply: set it before stepping
+// begins, and never call back into the KV from it.
+func (kv *KV) SetCommitHook(f func(pos int, cmd uint32)) {
+	kv.mu.Lock()
+	defer kv.mu.Unlock()
+	kv.commitHook = f
 }
 
 // Set queues a write for replication. It is applied once committed. On a
@@ -342,36 +364,6 @@ func (kv *KV) CommittedLen() int {
 	return kv.replica.CommittedLen()
 }
 
-// CommittedSince returns a copy of the committed commands from global
-// index from on (clamped to the retained range: commands summarized into
-// a checkpoint are no longer individually returnable, and callers must
-// treat them as unconfirmed — resubmission is idempotent). Prefer
-// TailSince, which also reports the next watermark.
-func (kv *KV) CommittedSince(from int) []uint32 {
-	cmds, _ := kv.TailSince(from)
-	return cmds
-}
-
-// TailSince returns a copy of the retained committed commands from global
-// index from on, plus the global index just past what was returned — the
-// caller's next watermark. Writers that watch many commands at once scan
-// each appended region exactly once by advancing their watermark to next.
-// Commands already summarized into a checkpoint are skipped (treat as
-// unconfirmed; Set is idempotent under resubmission).
-func (kv *KV) TailSince(from int) (cmds []uint32, next int) {
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	base := kv.replica.committedBase
-	if from < base {
-		from = base
-	}
-	if from > base+len(kv.replica.committed) {
-		from = base + len(kv.replica.committed)
-	}
-	cmds = append([]uint32(nil), kv.replica.committed[from-base:]...)
-	return cmds, from + len(cmds)
-}
-
 // Capacity returns the slot capacity of the log window: the total log
 // capacity of a non-recycling store, the in-flight window of a recycling
 // one (whose command stream is unbounded). On a batched log one slot can
@@ -467,33 +459,6 @@ func (kv *KV) DropGeneration() uint64 {
 	kv.mu.Lock()
 	defer kv.mu.Unlock()
 	return kv.replica.dropGen
-}
-
-// CommittedContainsAfter reports whether cmd appears in the committed
-// stream at global index from or later — how a synchronous writer
-// observes that its own submission (not some identical historical
-// command) survived replication: it records the committed length before
-// submitting and scans only the entries appended after that watermark,
-// which also keeps the scan O(new entries) instead of O(log). Entries
-// summarized into a checkpoint cannot match (the writer resubmits;
-// duplicates apply idempotently).
-func (kv *KV) CommittedContainsAfter(from int, cmd uint32) bool {
-	kv.mu.Lock()
-	defer kv.mu.Unlock()
-	base := kv.replica.committedBase
-	if from < base {
-		from = base
-	}
-	committed := kv.replica.committed
-	if from > base+len(committed) {
-		from = base + len(committed)
-	}
-	for _, c := range committed[from-base:] {
-		if c == cmd {
-			return true
-		}
-	}
-	return false
 }
 
 // DropPending discards the replica's queued-but-unproposed commands —

@@ -2,7 +2,7 @@ package consensus
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 
 	"omegasm/internal/shmem"
@@ -612,6 +612,9 @@ type Replica struct {
 	// contents are consumed (copied into committed) before the next
 	// resolve, so reusing it keeps slot learning allocation-free.
 	resolveBuf []uint32
+	// acks is maybeAdvanceWindow's scratch copy of the ack registers,
+	// allocated once so the window check never touches the heap.
+	acks []int
 
 	// prop is reused across slots (reset, not reallocated); propSlot -1
 	// means it is not armed for the current slot.
@@ -669,6 +672,7 @@ func NewReplica(log *Log, id int, omega func() int) (*Replica, error) {
 		// recycling log's tail is trimmed in place at each seal, keeping
 		// this capacity; growth past it is amortized as usual).
 		committed: make([]uint32, 0, log.Cap()*log.MaxBatch()),
+		acks:      make([]int, log.N),
 		propSlot:  -1, lastSealSlot: -1, selfLatestSeq: -1, cachedSlot: -1,
 	}, nil
 }
@@ -1209,14 +1213,14 @@ func (r *Replica) maybeAdvanceWindow() {
 	if !r.log.Recycling() {
 		return
 	}
-	acks := make([]int, r.log.N)
+	acks := r.acks
 	for i := range acks {
 		acks[i] = int(r.log.ack[i].Read(r.id))
 	}
-	sort.Sort(sort.Reverse(sort.IntSlice(acks)))
+	slices.Sort(acks)
 	// acks[i] is 1 + sealed slot, i.e. directly the base candidate; the
 	// (N/2+1)-th largest is the newest value a majority has reached.
-	if q := acks[r.log.N/2]; q > 0 {
+	if q := acks[len(acks)-1-r.log.N/2]; q > 0 {
 		r.log.advance(q)
 	}
 }

@@ -65,6 +65,10 @@ type Algo1 struct {
 	myStop     bool
 	mySusp     []uint64
 
+	// susp is computeLeader's column-sum scratch, allocated once so a
+	// step never touches the heap.
+	susp []uint64
+
 	// cachedLeader is the value returned by Leader() between recomputes;
 	// task T2 recomputes it every iteration (the paper's while guard) and
 	// task T3 after updating candidates. Sampling Leader() from the
@@ -86,6 +90,7 @@ func NewAlgo1(sh *Shared1, id int) *Algo1 {
 		candidates:   make([]bool, sh.N),
 		last:         make([]uint64, sh.N),
 		mySusp:       make([]uint64, sh.N),
+		susp:         make([]uint64, sh.N),
 		cachedLeader: id,
 	}
 	for k := range p.candidates {
@@ -113,9 +118,10 @@ func (p *Algo1) Leader() int { return p.cachedLeader }
 // candidate k, sum column k of SUSPICIONS, then take the lexicographic
 // minimum of (suspicions, id).
 func (p *Algo1) computeLeader() int {
-	susp := make([]uint64, p.n)
+	susp := p.susp
 	for k := 0; k < p.n; k++ {
 		if !p.candidates[k] {
+			susp[k] = 0
 			continue
 		}
 		var s uint64

@@ -238,3 +238,24 @@ func TestBuildAlgo1SharesMemory(t *testing.T) {
 		}
 	}
 }
+
+// TestAlgo1StepZeroAllocs is the allocation gate for the election's hot
+// path: a T2 iteration (lines 2-12, including the leader recomputation)
+// and a T3 firing must not touch the heap.
+func TestAlgo1StepZeroAllocs(t *testing.T) {
+	_, _, procs := algo1Fixture(3)
+	if avg := testing.AllocsPerRun(100, func() {
+		for _, p := range procs {
+			p.Step(0)
+		}
+	}); avg != 0 {
+		t.Errorf("Algo1.Step allocates %.2f times/op, want 0", avg)
+	}
+	if avg := testing.AllocsPerRun(100, func() {
+		for _, p := range procs {
+			p.OnTimer(0)
+		}
+	}); avg != 0 {
+		t.Errorf("Algo1.OnTimer allocates %.2f times/op, want 0", avg)
+	}
+}

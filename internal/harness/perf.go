@@ -435,18 +435,22 @@ func NewWakeKVDriver(procs, slots int, interval time.Duration) (*KVDriver, error
 			key, val = uint16(d.k%1024), uint16(d.k)
 			cmd = consensus.EncodeSet(key, val)
 		}
-		mark := stores[0].CommittedLen()
-		if mark == stores[0].Capacity() {
+		if stores[0].CommittedLen() == stores[0].Capacity() {
 			return fmt.Errorf("harness: wakeup stack log full")
 		}
 		if err := stores[0].Set(key, val); err != nil {
 			return err
 		}
 		eng.Notify(ids[0])
-		for !stores[0].CommittedContainsAfter(mark, cmd) {
+		// The driver is the only writer and a key's next value always
+		// differs from its current one (consecutive writes to a key are
+		// 1024 apart), so the leader applying val is this write's commit.
+		for {
+			if v, ok := stores[0].Get(key); ok && v == val {
+				return nil
+			}
 			<-commit
 		}
-		return nil
 	}
 	return d, nil
 }

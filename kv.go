@@ -228,43 +228,16 @@ type Entry struct {
 // its queue).
 type KV struct {
 	*replicaGroup
-	eng     *engine.Live
-	commits *broadcast
+	eng *engine.Live
 
-	// closed is set by Close before it signals commits: a waiter checks
-	// it after taking the broadcast channel, so the wait cannot miss it.
+	// closed is set by Close before it wakes the waiters: a waiter checks
+	// it after entering the waiter table, so the wait cannot miss it.
 	closed atomic.Bool
 }
 
-// broadcast is a reusable close-channel broadcast: waiters grab the
-// current channel and commit signals close it, waking every waiter at
-// once (the shape of Put's commit watch). A signal with no waiter since
-// the last reset is free: async writers (Set) commit at full rate
-// without a channel allocation per commit wave.
-type broadcast struct {
-	mu     sync.Mutex
-	ch     chan struct{}
-	waited bool
-}
-
-func newBroadcast() *broadcast { return &broadcast{ch: make(chan struct{})} }
-
-func (b *broadcast) wait() <-chan struct{} {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	b.waited = true
-	return b.ch
-}
-
-func (b *broadcast) signal() {
-	b.mu.Lock()
-	if b.waited {
-		close(b.ch)
-		b.ch = make(chan struct{})
-		b.waited = false
-	}
-	b.mu.Unlock()
-}
+// putOpPool recycles PutAll's operations together with their wake
+// channels and command scratch, so a steady-state Put allocates nothing.
+var putOpPool = sync.Pool{New: func() any { return &putOp{wake: make(waiter, 1)} }}
 
 // NewKV builds and starts the cluster's replicated key-value store: one
 // replica per process over a freshly allocated log on the cluster's
@@ -309,10 +282,7 @@ func NewKV(c *Cluster, opts ...KVOption) (*KV, error) {
 	c.kvTaken = true
 	c.svcMu.Unlock()
 
-	kv := &KV{
-		eng:     engine.NewLive(engine.LiveConfig{}),
-		commits: newBroadcast(),
-	}
+	kv := &KV{eng: engine.NewLive(engine.LiveConfig{})}
 	g, err := newReplicaGroup(c.mem, groupParams{
 		shape:    shape,
 		leaseDur: int64(leaseDur),
@@ -322,7 +292,7 @@ func NewKV(c *Cluster, opts ...KVOption) (*KV, error) {
 		view:     leaderView{agreed: c.AgreedLeader, crashed: c.Crashed},
 		oracle:   c.oracle,
 		notify:   kv.eng.Notify,
-		onCommit: kv.commits.signal,
+		onCommit: func() { kv.wakeFences() },
 	})
 	if err != nil {
 		return nil, err
@@ -344,7 +314,7 @@ func NewKV(c *Cluster, opts ...KVOption) (*KV, error) {
 // and safe to call concurrently.
 func (kv *KV) Close() {
 	kv.closed.Store(true)
-	kv.commits.signal()
+	kv.wakeWaiters()
 	kv.eng.Stop()
 }
 
@@ -381,11 +351,11 @@ func (kv *KV) Set(key, val uint16) error {
 // semantics.
 //
 // Put is wake-driven end to end: the submit wakes the leader's parked
-// replica machine immediately, and the call sleeps on the engine's commit
-// broadcast rather than a poll loop, so the latency of an uncontended
+// replica machine immediately, and the call sleeps until the replica
+// that applies its command wakes it, so the latency of an uncontended
 // write is the consensus round itself, not the driver cadence. The
-// fallback ticker only paces the retry path (leadership moved, log
-// pressure).
+// leadership watcher's cadence only paces the retry path (leadership
+// moved, log pressure).
 func (kv *KV) Put(ctx context.Context, key, val uint16) error {
 	return kv.PutAll(ctx, Entry{Key: key, Val: val})
 }
@@ -398,11 +368,13 @@ func (kv *KV) Put(ctx context.Context, key, val uint16) error {
 // in submission order when the group lands in one reign; duplicate
 // entries are deduplicated (a Set is idempotent).
 //
-// The call watches the log entries appended after it began (a watermark
-// per replica, so an identical historical write never counts as this
-// call's success) and resubmits the not-yet-committed remainder if
-// leadership moves — or a leadership flap sweeps the leader's queue —
-// before everything lands. Re-submission can commit an entry into more
+// The call enters its commands in the store's waiter table before
+// submitting them, and the first replica to apply each later stream
+// position retires the matching command (so an identical historical
+// write never counts as this call's success). At the leadership
+// watcher's cadence it resubmits the not-yet-committed remainder if
+// leadership moved — or a leadership flap swept the leader's queue —
+// before everything landed. Re-submission can commit an entry into more
 // than one slot; the store applies sets idempotently, so duplicates only
 // spend log capacity. PutAll returns ctx's error on cancellation,
 // ErrClosed once the store is closed, the reserved-pair error
@@ -414,17 +386,12 @@ func (kv *KV) PutAll(ctx context.Context, entries ...Entry) error {
 	if len(entries) == 0 {
 		return nil
 	}
-	var op putOp
+	op := putOpPool.Get().(*putOp)
+	defer recyclePutOp(op)
 	if err := op.start(kv.replicaGroup, entries); err != nil {
 		return err
 	}
-	ticker := time.NewTicker(time.Duration(kv.poll))
-	defer ticker.Stop()
 	for {
-		// Grab the broadcast channel before polling: a commit (or Close)
-		// that lands after the poll closes this channel, so the wait below
-		// cannot miss it.
-		committed := kv.commits.wait()
 		if kv.closed.Load() {
 			return ErrClosed
 		}
@@ -434,10 +401,18 @@ func (kv *KV) PutAll(ctx context.Context, entries ...Entry) error {
 		select {
 		case <-ctx.Done():
 			return ctx.Err()
-		case <-committed:
-		case <-ticker.C:
+		case <-op.wake:
 		}
 	}
+}
+
+// recyclePutOp withdraws a started op from the waiter table (a no-op once
+// it completed) and returns it to the pool.
+func recyclePutOp(op *putOp) {
+	op.withdraw()
+	op.wake.drain()
+	op.g = nil
+	putOpPool.Put(op)
 }
 
 // Get returns the value of key in the applied state of the freshest
@@ -495,14 +470,14 @@ func (kv *KV) readQuorum(ctx context.Context, key uint16) (uint16, bool, error) 
 	if !kv.stores[0].ReservesTopRow() {
 		return 0, false, ErrReadUnsupported
 	}
-	ticker := time.NewTicker(time.Duration(kv.poll))
-	defer ticker.Stop()
+	w := make(waiter, 1)
+	kv.addFence(w)
+	defer kv.removeFence(w)
 	fencedFrom := -1 // leader the fence generation below was taken from
 	var gen uint64
 	for {
-		// Grab the broadcast channel before checking: progress that lands
-		// after the check closes this channel, so the wait cannot miss it.
-		progress := kv.commits.wait()
+		// The waiter is registered before the check: progress (or Close)
+		// that lands after it leaves a signal the wait below takes.
 		if kv.closed.Load() {
 			return 0, false, ErrClosed
 		}
@@ -524,8 +499,7 @@ func (kv *KV) readQuorum(ctx context.Context, key uint16) (uint16, bool, error) 
 		select {
 		case <-ctx.Done():
 			return 0, false, ctx.Err()
-		case <-progress:
-		case <-ticker.C:
+		case <-w:
 		}
 	}
 }

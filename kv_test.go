@@ -3,6 +3,7 @@ package omegasm_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -533,5 +534,81 @@ func within(t *testing.T, name string, call func() error) error {
 	case <-time.After(5 * time.Second):
 		t.Fatalf("%s still blocked after 5s", name)
 		return nil
+	}
+}
+
+// TestKVConcurrentWaiters drives the waiter table from many goroutines at
+// once: writers whose Puts share keys and values (so commit matches can
+// hit several waiters, and pooled operations are reused), writers that
+// give up mid-wait, and quorum readers. Every completed Put's value must
+// be readable, and every call must return. Run under -race it is the
+// data-race check for the table, the commit hook and the pools.
+func TestKVConcurrentWaiters(t *testing.T) {
+	c := startCluster(t, fastOpts(3)...)
+	if _, ok := c.WaitForAgreement(10 * time.Second); !ok {
+		t.Fatal("no agreement")
+	}
+	kv, err := omegasm.NewKV(c, omegasm.KVSlots(32))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer kv.Close()
+	ctx, cancel := context.WithTimeout(context.Background(), time.Minute)
+	defer cancel()
+	const writers, puts = 4, 100
+	errs := make(chan error, 2*writers+2)
+	for w := 0; w < writers; w++ {
+		w := w
+		go func() {
+			for i := 0; i < puts; i++ {
+				// Writers w and w^1 write identical commands.
+				key, val := uint16(w/2), uint16(i)
+				if err := kv.Put(ctx, key, val); err != nil {
+					errs <- err
+					return
+				}
+				// The twin may lag and overwrite with an older value, so
+				// only presence is checked here.
+				if _, ok, err := kv.Read(ctx, key, omegasm.ReadQuorum); err != nil || !ok {
+					errs <- fmt.Errorf("Read(%d) after Put = (%v, %v)", key, ok, err)
+					return
+				}
+			}
+			errs <- nil
+		}()
+		go func() {
+			for i := 0; i < puts; i++ {
+				short, stop := context.WithTimeout(ctx, time.Duration(i%4)*time.Microsecond)
+				err := kv.PutAll(short, omegasm.Entry{Key: uint16(100 + w), Val: uint16(i)},
+					omegasm.Entry{Key: uint16(200 + w), Val: uint16(i)})
+				stop()
+				if err != nil && !errors.Is(err, context.DeadlineExceeded) {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for r := 0; r < 2; r++ {
+		go func() {
+			for i := 0; i < puts; i++ {
+				if _, _, err := kv.Read(ctx, uint16(i%4), omegasm.ReadQuorum); err != nil {
+					errs <- err
+					return
+				}
+			}
+			errs <- nil
+		}()
+	}
+	for i := 0; i < 2*writers+2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	for k := uint16(0); k < writers/2; k++ {
+		if v, ok, err := kv.Read(ctx, k, omegasm.ReadQuorum); err != nil || !ok || v != puts-1 {
+			t.Errorf("Read(%d) = (%d, %v, %v), want %d", k, v, ok, err, puts-1)
+		}
 	}
 }

@@ -3,6 +3,7 @@ package omegasm
 import (
 	"context"
 	"fmt"
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -153,4 +154,34 @@ func (c *Cluster) stopServices() {
 	if a != nil {
 		a.eng.Stop()
 	}
+}
+
+// broadcast is a reusable close-channel broadcast: waiters grab the
+// current channel and commit signals close it, waking every waiter at
+// once (the shape of Put's commit watch). A signal with no waiter since
+// the last reset is free: async writers (Set) commit at full rate
+// without a channel allocation per commit wave.
+type broadcast struct {
+	mu     sync.Mutex
+	ch     chan struct{}
+	waited bool
+}
+
+func newBroadcast() *broadcast { return &broadcast{ch: make(chan struct{})} }
+
+func (b *broadcast) wait() <-chan struct{} {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.waited = true
+	return b.ch
+}
+
+func (b *broadcast) signal() {
+	b.mu.Lock()
+	if b.waited {
+		close(b.ch)
+		b.ch = make(chan struct{})
+		b.waited = false
+	}
+	b.mu.Unlock()
 }

@@ -3,6 +3,8 @@ package omegasm
 import (
 	"fmt"
 	"slices"
+	"sync"
+	"sync/atomic"
 
 	"omegasm/internal/consensus"
 	"omegasm/internal/engine"
@@ -94,7 +96,7 @@ type groupParams struct {
 	view   leaderView
 	oracle func(i int) func() int
 	// notify wakes an engine machine; onCommit runs after a replica step
-	// made progress (live: the broadcast Put waiters sleep on).
+	// made progress (live: wakes the quorum readers' fences).
 	notify   func(id int)
 	onCommit func()
 }
@@ -117,6 +119,39 @@ type replicaGroup struct {
 	// election settled.
 	lastLeader int
 	changes    int
+
+	// waitMu guards the waiter table: puts holds the write operations with
+	// commands still awaiting commit (the commit hook retires them), fences
+	// the quorum readers awaiting any log progress. acked counts the
+	// committed stream positions already matched against the table; the
+	// first replica to apply a position matches it, and the others skip
+	// it, so a lagging replica replaying old positions never acknowledges
+	// an operation that began after them.
+	waitMu sync.Mutex
+	puts   []*putOp
+	fences []waiter
+	acked  atomic.Int64
+}
+
+// waiter is a blocked caller's wake-up: a one-slot channel signalled
+// without blocking, so a signal is never lost and never allocates. A nil
+// waiter — the simulator's operations, which their drivers re-poll on
+// engine wakes — ignores signals.
+type waiter chan struct{}
+
+func (w waiter) signal() {
+	select {
+	case w <- struct{}{}:
+	default:
+	}
+}
+
+// drain clears a pooled op's stale signal before its next user.
+func (w waiter) drain() {
+	select {
+	case <-w:
+	default:
+	}
 }
 
 // newReplicaGroup allocates the log on mem and builds one store per
@@ -154,9 +189,79 @@ func newReplicaGroup(mem shmem.Mem, p groupParams) (*replicaGroup, error) {
 				return held
 			})
 		}
+		store.SetCommitHook(g.applied)
 		g.stores = append(g.stores, store)
 	}
 	return g, nil
+}
+
+// applied is every store's commit hook. It runs under the applying
+// replica's step lock, before any checkpoint can trim the position from
+// the retained tail, so no committed command escapes it. The first
+// replica to apply stream position pos retires cmd from every waiting
+// write and wakes the writes it completes.
+func (g *replicaGroup) applied(pos int, cmd uint32) {
+	if int64(pos) < g.acked.Load() {
+		return // another replica applied it first
+	}
+	g.waitMu.Lock()
+	defer g.waitMu.Unlock()
+	if int64(pos) < g.acked.Load() {
+		return
+	}
+	g.acked.Store(int64(pos) + 1)
+	waiting := g.puts[:0]
+	for _, op := range g.puts {
+		if j := slices.Index(op.remaining, cmd); j >= 0 {
+			op.remaining = slices.Delete(op.remaining, j, j+1)
+		}
+		if len(op.remaining) == 0 {
+			op.wake.signal()
+			continue
+		}
+		waiting = append(waiting, op)
+	}
+	clear(g.puts[len(waiting):])
+	g.puts = waiting
+}
+
+// wakeFences wakes every quorum reader: the live store's onCommit.
+func (g *replicaGroup) wakeFences() {
+	g.waitMu.Lock()
+	defer g.waitMu.Unlock()
+	for _, w := range g.fences {
+		w.signal()
+	}
+}
+
+// wakeWaiters wakes every blocked caller. The watcher calls it at its
+// poll cadence — the fallback that lets a call notice a leadership move
+// or a queue sweep and resubmit without a timer of its own — and Close
+// calls it to release them.
+func (g *replicaGroup) wakeWaiters() {
+	g.waitMu.Lock()
+	defer g.waitMu.Unlock()
+	for _, op := range g.puts {
+		op.wake.signal()
+	}
+	for _, w := range g.fences {
+		w.signal()
+	}
+}
+
+// addFence registers a quorum reader's waiter; removeFence withdraws it.
+func (g *replicaGroup) addFence(w waiter) {
+	g.waitMu.Lock()
+	defer g.waitMu.Unlock()
+	g.fences = append(g.fences, w)
+}
+
+func (g *replicaGroup) removeFence(w waiter) {
+	g.waitMu.Lock()
+	defer g.waitMu.Unlock()
+	if i := slices.Index(g.fences, w); i >= 0 {
+		g.fences = slices.Delete(g.fences, i, i+1)
+	}
 }
 
 // replica returns the machine that drives store i.
@@ -285,7 +390,8 @@ func (m *kvMachine) Step(now vclock.Time) engine.Hint {
 // leader would re-propose its stale queue whenever it regains leadership,
 // committing old writes after newer ones; with it, a stale command can
 // only still commit via ballot adoption in the first undecided slot —
-// i.e. never after a newer command. (Writers that still care re-submit.)
+// i.e. never after a newer command. (Writers that still care re-submit:
+// every round also wakes the blocked callers, whose poll resubmits.)
 func (g *replicaGroup) watch(now vclock.Time) engine.Hint {
 	if l, ok := g.view.leader(); ok && l != g.lastLeader {
 		for i, st := range g.stores {
@@ -301,6 +407,7 @@ func (g *replicaGroup) watch(now vclock.Time) engine.Hint {
 			g.notify(id)
 		}
 	}
+	g.wakeWaiters()
 	return engine.At(now + g.poll)
 }
 
@@ -327,31 +434,34 @@ func (g *replicaGroup) readStore() *consensus.KV {
 }
 
 // putOp is one group write in flight: the deduplicated commands still
-// waiting for commit, a commit watermark per replica, and the reign it
-// was last submitted under. poll never blocks; callers choose how to wait
-// between polls (PutAll on the commit broadcast and a ticker, the
-// simulator's drivers on engine wakes).
+// waiting for commit and the reign it was last submitted under. start
+// enters it in the group's waiter table, and the commit hook retires its
+// commands as replicas apply them. poll never blocks; callers choose how
+// to wait between polls (PutAll on the op's wake, the simulator's drivers
+// on engine wakes).
 type putOp struct {
 	g *replicaGroup
 	// remaining holds the commands still waiting for commit, in
-	// submission order (resubmissions preserve it). Groups are small, so
-	// linear scans over it are cheaper than a map's allocations.
+	// submission order (resubmissions preserve it); guarded by g.waitMu.
+	// Groups are small, so linear scans over it are cheaper than a map.
 	remaining []uint32
-	marks     []int
+	// wake is signalled when the commit hook completes the operation and
+	// at the watcher's cadence while it waits (nil: never signalled).
+	wake waiter
 	// submittedTo and submitGen are the leader and its drop generation
 	// at the last submission (-1: never submitted).
 	submittedTo int
 	submitGen   uint64
 }
 
-// start deduplicates entries and takes the commit watermarks: only
-// entries a replica appends from here on can acknowledge this operation,
-// so an identical historical write never counts as its success. A
-// reserved pair errors, committing nothing.
+// start deduplicates entries and enters the operation in the waiter
+// table before anything is submitted: only positions first applied from
+// here on can acknowledge it, so an identical historical write never
+// counts as its success. A reserved pair errors, committing nothing.
 func (op *putOp) start(g *replicaGroup, entries []Entry) error {
 	claimed := g.stores[0].ReservesTopRow()
-	op.g, op.submittedTo = g, -1
-	op.remaining = make([]uint32, 0, len(entries))
+	op.g, op.submittedTo, op.submitGen = g, -1, 0
+	op.remaining = op.remaining[:0]
 	for _, e := range entries {
 		cmd := consensus.EncodeSet(e.Key, e.Val)
 		if consensus.IsReserved(cmd, claimed) {
@@ -361,45 +471,46 @@ func (op *putOp) start(g *replicaGroup, entries []Entry) error {
 			op.remaining = append(op.remaining, cmd)
 		}
 	}
-	op.marks = make([]int, len(g.stores))
-	for i, s := range g.stores {
-		op.marks[i] = s.CommittedLen()
-	}
+	g.waitMu.Lock()
+	defer g.waitMu.Unlock()
+	g.puts = append(g.puts, op)
 	return nil
 }
 
-// confirm scans replica i's commits since the watermark and retires the
-// commands found. Each appended region is scanned exactly once, so a
-// long-lived operation stays O(new commits), not O(log). Entries a
-// checkpoint summarizes before the scan never confirm; the remainder is
-// resubmitted and duplicates apply idempotently.
-func (op *putOp) confirm(i int) {
-	suffix, next := op.g.stores[i].TailSince(op.marks[i])
-	op.marks[i] = next
-	for _, c := range suffix {
-		if j := slices.Index(op.remaining, c); j >= 0 {
-			op.remaining = slices.Delete(op.remaining, j, j+1)
-		}
+// withdraw removes an abandoned operation from the waiter table.
+func (op *putOp) withdraw() {
+	g := op.g
+	g.waitMu.Lock()
+	defer g.waitMu.Unlock()
+	g.withdrawLocked(op)
+}
+
+func (g *replicaGroup) withdrawLocked(op *putOp) {
+	if i := slices.Index(g.puts, op); i >= 0 {
+		g.puts = slices.Delete(g.puts, i, i+1)
 	}
 }
 
-// poll confirms what committed and, under an agreed leader, submits the
-// remainder again if leadership moved — or a leadership flap swept the
-// leader's queue (its drop generation moved) — since the last
-// submission, then wakes the leader. It reports whether every command has
-// committed; the error is ErrLogFull once a fixed-capacity log is
-// exhausted, or a submission failure.
+// settled reports whether every command has committed.
+func (op *putOp) settled() bool {
+	op.g.waitMu.Lock()
+	defer op.g.waitMu.Unlock()
+	return len(op.remaining) == 0
+}
+
+// poll reports whether every command has committed and, under an agreed
+// leader, submits the remainder again if leadership moved — or a
+// leadership flap swept the leader's queue (its drop generation moved) —
+// since the last submission, then wakes the leader. The error is
+// ErrLogFull once a fixed-capacity log is exhausted, or a submission
+// failure; either withdraws the operation.
 func (op *putOp) poll() (bool, error) {
 	g := op.g
-	for i := range g.stores {
-		if !g.view.crashed(i) {
-			op.confirm(i)
-		}
-	}
-	if len(op.remaining) == 0 {
+	if op.settled() {
 		return true, nil
 	}
 	if g.readStore().LogFull() {
+		op.withdraw()
 		return false, ErrLogFull
 	}
 	l, ok := g.view.leader()
@@ -407,21 +518,32 @@ func (op *putOp) poll() (bool, error) {
 		return false, nil
 	}
 	if gen := g.stores[l].DropGeneration(); l != op.submittedTo || gen != op.submitGen {
-		// Re-scan the leader's commits right before resubmitting: an entry
-		// may have committed since the scan above, and a needless duplicate
-		// burns log capacity forever.
-		op.confirm(l)
-		if len(op.remaining) == 0 {
-			return true, nil
-		}
-		if err := g.stores[l].SetAll(op.remaining...); err != nil {
+		if err := op.submit(l); err != nil {
 			return false, err
 		}
 		op.submittedTo, op.submitGen = l, gen
-		if g.ackAtSubmit {
-			op.remaining = op.remaining[:0]
-		}
 	}
 	g.notify(g.ids[l])
-	return len(op.remaining) == 0, nil
+	return op.settled(), nil
+}
+
+// submit queues the commands still waiting on replica l. It holds the
+// table lock, so a command the hook retired a moment ago is not
+// resubmitted (a needless duplicate burns log capacity forever).
+func (op *putOp) submit(l int) error {
+	g := op.g
+	g.waitMu.Lock()
+	defer g.waitMu.Unlock()
+	if len(op.remaining) == 0 {
+		return nil
+	}
+	if err := g.stores[l].SetAll(op.remaining...); err != nil {
+		g.withdrawLocked(op)
+		return err
+	}
+	if g.ackAtSubmit {
+		op.remaining = op.remaining[:0]
+		g.withdrawLocked(op)
+	}
+	return nil
 }
